@@ -27,6 +27,11 @@ class GateKind(Enum):
     MEASURE = "measure"
     BARRIER = "barrier"
 
+    # Members are singletons compared by identity, so identity hashing agrees
+    # with equality; it spares the Python-level ``Enum.__hash__`` in the hot
+    # sets and dicts of (kind, role) entries and gate signatures.
+    __hash__ = object.__hash__
+
     @property
     def arity(self) -> int | None:
         """Operand count; None for the variadic BARRIER."""

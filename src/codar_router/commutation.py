@@ -23,6 +23,7 @@ ROLE_TARGET = "cx_target"
 Entry = tuple[GateKind, str]
 
 _NO_ENTRIES: frozenset[Entry] = frozenset()
+_NO_GATES: frozenset[int] = frozenset()
 
 
 def role_of(gate: Gate, position: int) -> str:
@@ -140,37 +141,41 @@ def commutes(a: Gate, b: Gate, table: CommutationTable = BASELINE_TABLE) -> bool
     return True
 
 
-def cf_front(gates, table: CommutationTable = BASELINE_TABLE,
-             window: int | None = None) -> set[int]:
+def cf_front(gates, table: CommutationTable = BASELINE_TABLE, *,
+             lane: int | None = None) -> set[int]:
     """Indices of gates commuting with everything before them in the list.
 
     One linear pass: each qubit accumulates the (kind, role, signature) marks
-    of the gates seen so far, and a gate is CF exactly when every mark on each
-    of its qubits is table-commuting with (or identical to) it.  Gates past
-    ``window`` are neither scanned nor returned.
+    of the gates seen so far, grouped by (kind, role) entry, and a gate is CF
+    exactly when every mark on each of its qubits is table-commuting with (or
+    identical to) it.
+
+    ``lane`` names a qubit that every gate of the list touches, as in the
+    lanes of a :class:`LaneFrontier`.  The pass then stops as soon as the
+    marks on that qubit admit no further gate, since no later gate can be CF.
     """
     adjacency = table._adjacency()
     front: set[int] = set()
-    marks: dict[int, set[tuple[Entry, tuple]]] = {}
-    limit = len(gates) if window is None else min(window, len(gates))
-    for k in range(limit):
-        gate = gates[k]
+    marks: dict[int, dict[Entry, set[tuple]]] = {}
+    # Entries friendly to every mark on the lane qubit; None before the first.
+    open_entries: frozenset[Entry] | None = None
+    for k, gate in enumerate(gates):
         sig = gate.signature()
         unitary = gate.kind.is_unitary
+        entries = [(gate.kind, role_of(gate, pos)) for pos in range(len(gate.qubits))]
         ok = True
         # BARRIER and MEASURE need no special casing: they have no table
         # entries and are non-unitary, so any shared-qubit mark blocks them
         # and their marks block everyone.
-        for pos, q in enumerate(gate.qubits):
+        for q, entry in zip(gate.qubits, entries):
             qmarks = marks.get(q)
             if not qmarks:
                 continue
-            entry = (gate.kind, role_of(gate, pos))
             friends = adjacency.get(entry, _NO_ENTRIES)
-            for mark_entry, mark_sig in qmarks:
+            for mark_entry, mark_sigs in qmarks.items():
                 if mark_entry in friends:
                     continue
-                if mark_sig == sig and unitary:
+                if unitary and len(mark_sigs) == 1 and sig in mark_sigs:
                     continue
                 ok = False
                 break
@@ -178,22 +183,110 @@ def cf_front(gates, table: CommutationTable = BASELINE_TABLE,
                 break
         if ok:
             front.add(k)
-        for pos, q in enumerate(gate.qubits):
-            marks.setdefault(q, set()).add(((gate.kind, role_of(gate, pos)), sig))
+        for q, entry in zip(gate.qubits, entries):
+            qmarks = marks.setdefault(q, {})
+            qmarks.setdefault(entry, set()).add(sig)
+            if q == lane:
+                friends = adjacency.get(entry, _NO_ENTRIES)
+                open_entries = friends if open_entries is None else open_entries & friends
+                if not open_entries and not _admits_a_repeat(qmarks, adjacency):
+                    return front
     return front
 
 
-def no_predecessor_front(gates, window: int | None = None) -> set[int]:
+def _admits_a_repeat(qmarks: dict[Entry, set[tuple]],
+                     adjacency: dict[Entry, frozenset[Entry]]) -> bool:
+    """Can a gate identical to one of a qubit's marks still pass that qubit?
+
+    ``qmarks`` maps each mark entry to its signatures.  A repeat of signature
+    ``s`` with entry ``e`` passes when every mark whose entry is not friendly
+    to ``e`` has signature ``s``, and ``e`` is of a unitary kind.  Any gate
+    that passes the qubit has an entry friendly to every mark or is such a
+    repeat, so the early exit in :func:`cf_front` is exact for any table.
+    """
+    for entry, sigs in qmarks.items():
+        if not entry[0].is_unitary:
+            continue
+        friends = adjacency.get(entry, _NO_ENTRIES)
+        blocking = set().union(*(other_sigs for other, other_sigs in qmarks.items()
+                                 if other not in friends))
+        if len(blocking) == 1 and blocking <= sigs:
+            return True
+    return False
+
+
+def no_predecessor_front(gates) -> set[int]:
     """Indices of gates sharing no qubit with any earlier gate (ablated front)."""
     front: set[int] = set()
     touched: set[int] = set()
-    limit = len(gates) if window is None else min(window, len(gates))
-    for k in range(limit):
-        gate = gates[k]
+    for k, gate in enumerate(gates):
         if not (set(gate.qubits) & touched):
             front.add(k)
         touched.update(gate.qubits)
     return front
+
+
+class LaneFrontier:
+    """CF front of a gate list that loses gates, kept over per-qubit lanes.
+
+    The lane of a qubit is the ordered list of remaining gates that touch it.
+    A gate commutes with every earlier gate sharing a qubit exactly when, for
+    each qubit it touches, it does so within that qubit's lane, so a gate is
+    in the front when ``front_of`` puts it in the front of every one of its
+    lanes.  Removing gates rescans only the lanes they sat in.
+
+    ``front_of(gates, qubit)`` maps the gates of a qubit's lane to the lane
+    positions in its front, e.g. ``cf_front(gates, table, lane=qubit)``.
+    """
+
+    def __init__(self, gates, front_of):
+        self._gates = gates
+        self._front_of = front_of
+        self._lanes: dict[int, list[int]] = {}
+        self._lane_gates: dict[int, list[Gate]] = {}
+        for i, gate in enumerate(gates):
+            for q in dict.fromkeys(gate.qubits):
+                self._lanes.setdefault(q, []).append(i)
+                self._lane_gates.setdefault(q, []).append(gate)
+        self._lane_front: dict[int, set[int]] = {}
+        #: Indices, into the gate list, of the remaining gates in the front.
+        self.front: set[int] = {i for i, gate in enumerate(gates) if not gate.qubits}
+        self._update(self._rescan(self._lanes))
+
+    def lane(self, qubit: int) -> list[int]:
+        """Indices of the remaining gates on ``qubit``, in list order."""
+        return self._lanes.get(qubit, [])
+
+    def remove(self, indices) -> None:
+        """Drop gates from the list and bring the front up to date."""
+        touched: set[int] = set()
+        for i in indices:
+            for q in dict.fromkeys(self._gates[i].qubits):
+                lane = self._lanes[q]
+                pos = lane.index(i)
+                del lane[pos]
+                del self._lane_gates[q][pos]
+                touched.add(q)
+        self.front.difference_update(indices)
+        self._update(self._rescan(touched).difference(indices))
+
+    def _rescan(self, qubits) -> set[int]:
+        """Rescan lanes; returns the gates that entered or left one of their fronts."""
+        moved: set[int] = set()
+        for q in qubits:
+            lane = self._lanes[q]
+            new = {lane[p] for p in self._front_of(self._lane_gates[q], q)}
+            moved |= new.symmetric_difference(self._lane_front.get(q, _NO_GATES))
+            self._lane_front[q] = new
+        return moved
+
+    def _update(self, moved) -> None:
+        lane_front = self._lane_front
+        for i in moved:
+            if all(i in lane_front[q] for q in self._gates[i].qubits):
+                self.front.add(i)
+            else:
+                self.front.discard(i)
 
 
 _ANGLE_SAMPLES = (0.37, 1.1, 2.0, 4.4)

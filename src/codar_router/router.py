@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 from .arch import Architecture, duration_of
 from .circuit import Circuit, Gate, GateKind, TWO_QUBIT_KINDS
-from .commutation import BASELINE_TABLE, CommutationTable, cf_front, no_predecessor_front
+from .commutation import (BASELINE_TABLE, CommutationTable, LaneFrontier, cf_front,
+                          no_predecessor_front)
 from .qasm import Diagnostic, validate
 
 
@@ -192,7 +193,6 @@ class RouterConfig:
     commutativity_on: bool = True
     initial_mapping_policy: str = "identity"
     stall_limit: int | None = None
-    cf_window: int | None = None
     table: CommutationTable = BASELINE_TABLE
 
     def __post_init__(self):
@@ -285,10 +285,25 @@ def heuristic_priority(swap: tuple[int, int], cf_gates, mapping: Mapping,
     return score
 
 
-@dataclass
-class _Pending:
-    seq: int
-    gate: Gate
+def _by_physical_qubit(gates, fwd: list[int]) -> dict[int, list[Gate]]:
+    """Gates indexed by the physical qubits their operands sit on."""
+    index: dict[int, list[Gate]] = {}
+    for gate in gates:
+        for q in gate.qubits:
+            index.setdefault(fwd[q], []).append(gate)
+    return index
+
+
+def _incident_gates(edge: tuple[int, int], index: dict[int, list[Gate]]) -> list[Gate]:
+    """The gates of ``index`` with an operand on an endpoint of ``edge``.
+
+    These are the only gates whose distance a SWAP on ``edge`` can change, so
+    their :func:`heuristic_priority` equals the whole list's.  A gate on both
+    endpoints is listed twice, which adds nothing: the SWAP only exchanges its
+    operands, so its score is 0.
+    """
+    i, j = edge
+    return index.get(i, []) + index.get(j, [])
 
 
 class _Router:
@@ -299,7 +314,8 @@ class _Router:
         self.placement = _Placement(init)
         self.locks = [0] * arch.num_qubits
         self.items: list[ScheduledGate] = []
-        self.pending: list[_Pending] = [_Pending(i, g) for i, g in enumerate(circuit.gates)]
+        self.pending: dict[int, Gate] = dict(enumerate(circuit.gates))
+        self.frontier = LaneFrontier(circuit.gates, self._lane_front)
         self.t = 0
         self.stall_counter = 0
         self.stall_events = 0
@@ -309,17 +325,14 @@ class _Router:
         # Generous ceiling on inserted SWAPs; if the aggregate heuristic ever
         # cycles, fall back to single-gate forced routing, which always drains.
         self.swap_cap = 8 * (len(circuit.gates) + 4) * (arch.diameter + 2) + 64
-        self._front_cache: set[int] | None = None
 
     # frontier ------------------------------------------------------------
-    def _front(self) -> set[int]:
-        if self._front_cache is None:
-            gates = [p.gate for p in self.pending]
-            if self.config.commutativity_on:
-                self._front_cache = cf_front(gates, self.config.table, self.config.cf_window)
-            else:
-                self._front_cache = no_predecessor_front(gates, self.config.cf_window)
-        return self._front_cache
+    def _lane_front(self, gates: list[Gate], qubit: int) -> set[int]:
+        # The frontier functions are looked up by name at each call, so a
+        # wrapper installed on this module sees every lane rescan.
+        if self.config.commutativity_on:
+            return cf_front(gates, self.config.table, lane=qubit)
+        return no_predecessor_front(gates)
 
     def _free(self, q: int) -> bool:
         return self.locks[q] <= self.t
@@ -332,34 +345,36 @@ class _Router:
     def _launch_ready(self) -> bool:
         launched = False
         while True:
-            taken: set[int] = set()
-            for pos in sorted(self._front()):
-                entry = self.pending[pos]
-                if not _compliant(entry.gate, self.placement.fwd, self.arch):
+            taken: list[int] = []
+            for seq in sorted(self.frontier.front):
+                gate = self.pending[seq]
+                if not _compliant(gate, self.placement.fwd, self.arch):
                     continue
-                pgate = self._phys_gate(entry.gate)
+                pgate = self._phys_gate(gate)
                 if not all(self._free(q) for q in pgate.qubits):
                     continue
                 launch(pgate, self.t, self.locks, self.items, self.arch,
                        self.config.duration_aware)
-                taken.add(pos)
-                if self.forced_seq == entry.seq:
+                taken.append(seq)
+                if self.forced_seq == seq:
                     self.forced_seq = None
             if not taken:
                 return launched
             launched = True
-            self.pending = [p for i, p in enumerate(self.pending) if i not in taken]
-            self._front_cache = None
+            for seq in taken:
+                del self.pending[seq]
+            self.frontier.remove(taken)
 
     # swap phase ----------------------------------------------------------
-    def _front_coupling_gates(self) -> list[Gate]:
-        return [self.pending[pos].gate for pos in sorted(self._front())
-                if _is_coupling_gate(self.pending[pos].gate)]
+    def _front_coupling(self) -> list[int]:
+        """Source indices of the front's two-qubit gates, in program order."""
+        return [seq for seq in sorted(self.frontier.front)
+                if _is_coupling_gate(self.pending[seq])]
 
-    def _blocked_front_gates(self) -> list[Gate]:
+    def _blocked_front(self) -> list[int]:
         fwd = self.placement.fwd
-        return [g for g in self._front_coupling_gates()
-                if not _compliant(g, fwd, self.arch)]
+        return [seq for seq in self._front_coupling()
+                if not _compliant(self.pending[seq], fwd, self.arch)]
 
     def _launch_swap(self, edge: tuple[int, int]) -> None:
         pgate = Gate(GateKind.SWAP, edge)
@@ -370,7 +385,7 @@ class _Router:
 
     def _forced_swap(self) -> bool:
         """Route the oldest blocked gate one hop closer, ignoring the aggregate."""
-        target = next((p.gate for p in self.pending if p.seq == self.forced_seq), None)
+        target = self.pending.get(self.forced_seq)
         if target is None or _compliant(target, self.placement.fwd, self.arch):
             return False
         fwd = self.placement.fwd
@@ -401,15 +416,18 @@ class _Router:
         launched = False
         # Live view: _launch_swap mutates placement.fwd in place.
         mapping_view = Mapping(self.placement.fwd, self.arch.num_qubits)
+        # SWAPs launch no gates, so the front stays the same throughout.
+        front_2q = [self.pending[seq] for seq in self._front_coupling()]
         while True:
-            front_2q = self._front_coupling_gates()
             cands = candidate_swaps(front_2q, mapping_view, self.locks, self.t, self.arch)
             if not cands:
                 break
+            by_qubit = _by_physical_qubit(front_2q, self.placement.fwd)
             best = None
             best_score = 0
             for edge in cands:
-                score = heuristic_priority(edge, front_2q, mapping_view, self.arch.distances)
+                score = heuristic_priority(edge, _incident_gates(edge, by_qubit),
+                                           mapping_view, self.arch.distances)
                 if score > best_score:
                     best, best_score = edge, score
             if best is None:
@@ -427,13 +445,12 @@ class _Router:
         stall_limit = self.config.stall_limit or max(1, duration_of(self.arch, GateKind.SWAP))
         while self.pending:
             launched = self._launch_ready()
-            if self.forced_seq is not None and all(p.seq != self.forced_seq for p in self.pending):
+            if self.forced_seq not in self.pending:
                 self.forced_seq = None
-            blocked = self._blocked_front_gates()
+            blocked = self._blocked_front()
             if self.forced_seq is None and blocked and (
                     self.desperate or self.stall_counter >= stall_limit):
-                self.forced_seq = next(p.seq for p in self.pending
-                                       if p.gate is blocked[0])
+                self.forced_seq = blocked[0]
                 self.stall_events += 1
             if self.forced_seq is not None:
                 launched = self._forced_swap() or launched

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import Circuit, Gate, GateKind
-from .commutation import BASELINE_TABLE, CommutationTable, commutes
+from .commutation import BASELINE_TABLE, CommutationTable, LaneFrontier, cf_front
 from .router import Mapping, Schedule, ScheduledGate, _Placement
 
 ORACLE_QUBIT_LIMIT = 10
@@ -165,37 +165,20 @@ def replay_schedule(items: list[ScheduledGate], init: Mapping) -> ReplayResult:
 
 # --- dependency check -----------------------------------------------------
 
-def _dependency_preds(gates: list[Gate], table: CommutationTable) -> list[list[int]]:
-    """For each gate, the earlier gates it must stay behind (non-commuting)."""
-    per_qubit: dict[int, list[int]] = defaultdict(list)
-    preds: list[set[int]] = [set() for _ in gates]
-    for i, gate in enumerate(gates):
-        for q in gate.qubits:
-            for j in per_qubit[q]:
-                if not commutes(gates[j], gate, table):
-                    preds[i].add(j)
-            per_qubit[q].append(i)
-    return [sorted(p) for p in preds]
-
-
 def _is_commuting_reordering(original: list[Gate], candidate: list[Gate],
                              table: CommutationTable) -> tuple[bool, list[str]]:
     """Is ``candidate`` reachable from ``original`` by adjacent commuting swaps?
 
-    Equivalent formulation: candidate is a linear extension of the
-    non-commutation DAG of original, with matching gate multiplicities.
+    Each candidate gate is matched to the earliest unused source gate with the
+    same signature; that gate must commute with every unused source gate
+    before it, i.e. be in the CF front of what is left, and is then used up.
     """
     if len(original) != len(candidate):
         return False, [f"gate count differs: {len(original)} vs {len(candidate)}"]
     buckets: dict[tuple, list[int]] = defaultdict(list)
     for i, gate in enumerate(original):
         buckets[gate.signature()].append(i)
-    preds = _dependency_preds(original, table)
-    indeg = [len(p) for p in preds]
-    succs: list[list[int]] = [[] for _ in original]
-    for i, ps in enumerate(preds):
-        for j in ps:
-            succs[j].append(i)
+    frontier = LaneFrontier(original, lambda gates, q: cf_front(gates, table, lane=q))
     cursor: dict[tuple, int] = defaultdict(int)
     for k, gate in enumerate(candidate):
         sig = gate.signature()
@@ -204,13 +187,16 @@ def _is_commuting_reordering(original: list[Gate], candidate: list[Gate],
         if pos >= len(queue):
             return False, [f"extra or missing gate at position {k}: {gate}"]
         idx = queue[pos]
-        if indeg[idx] != 0:
-            blocker = original[preds[idx][0]]
+        if idx not in frontier.front:
+            # The earliest unused source gate that keeps it out of the front,
+            # by the front's own rule applied to the pair.
+            source = original[idx]
+            blocker = min(j for q in source.qubits for j in frontier.lane(q)
+                          if j < idx and 1 not in cf_front([original[j], source], table))
             return False, [
-                f"{gate} at position {k} jumped before non-commuting {blocker}"]
+                f"{gate} at position {k} jumped before non-commuting {original[blocker]}"]
         cursor[sig] = pos + 1
-        for s in succs[idx]:
-            indeg[s] -= 1
+        frontier.remove((idx,))
     leftovers = [sig for sig, queue in buckets.items() if cursor[sig] != len(queue)]
     if leftovers:
         return False, [f"missing gate {sig[0].value} on {sig[1]}" for sig in leftovers]

@@ -137,3 +137,89 @@ def random_unitary_gate(rng, num_qubits: int) -> Gate:
     kind = rng.choice(ROTATION_KINDS)
     params = tuple(rng.choice(SAFE_ANGLES) for _ in range(kind.num_params))
     return Gate(kind, (rng.randrange(num_qubits),), params)
+
+
+# --- full-list frontier scan and DAG dependency check ---------------------
+# The implementations the lane frontier (codar_router.commutation) and the
+# dependency check built on it (codar_router.verify) replaced, kept as slow
+# references: no early exit, no lanes, and commutes() on every pair.
+
+def _role(gate: Gate, position: int) -> str:
+    if gate.kind is GateKind.CX:
+        return "cx_control" if position == 0 else "cx_target"
+    return "single"
+
+
+def cf_front_reference(gates, table) -> set[int]:
+    """The CF front by one full pass over the list, with no early exit."""
+    adjacency = table._adjacency()
+    front: set[int] = set()
+    marks: dict[int, set] = {}
+    for k, gate in enumerate(gates):
+        sig = gate.signature()
+        unitary = gate.kind.is_unitary
+        ok = True
+        for pos, q in enumerate(gate.qubits):
+            friends = adjacency.get((gate.kind, _role(gate, pos)), frozenset())
+            for mark_entry, mark_sig in marks.get(q, ()):
+                if mark_entry not in friends and not (mark_sig == sig and unitary):
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            front.add(k)
+        for pos, q in enumerate(gate.qubits):
+            marks.setdefault(q, set()).add(((gate.kind, _role(gate, pos)), sig))
+    return front
+
+
+def no_predecessor_front_reference(gates) -> set[int]:
+    """Gates sharing no qubit with any earlier gate, by one full pass."""
+    front: set[int] = set()
+    touched: set[int] = set()
+    for k, gate in enumerate(gates):
+        if not set(gate.qubits) & touched:
+            front.add(k)
+        touched.update(gate.qubits)
+    return front
+
+
+def dependency_preds_reference(gates, table) -> list[list[int]]:
+    """For each gate, the earlier gates it must stay behind (non-commuting)."""
+    from codar_router import commutes
+
+    per_qubit: dict[int, list[int]] = {}
+    preds: list[set[int]] = [set() for _ in gates]
+    for i, gate in enumerate(gates):
+        for q in gate.qubits:
+            for j in per_qubit.get(q, []):
+                if not commutes(gates[j], gate, table):
+                    preds[i].add(j)
+            per_qubit.setdefault(q, []).append(i)
+    return [sorted(p) for p in preds]
+
+
+def is_commuting_reordering_reference(original, candidate, table) -> bool:
+    """Is ``candidate`` a linear extension of ``original``'s non-commutation DAG?
+
+    Each candidate gate is matched to the earliest unused source gate with the
+    same signature, which must have every predecessor already placed.
+    """
+    if len(original) != len(candidate):
+        return False
+    buckets: dict[tuple, list[int]] = {}
+    for i, gate in enumerate(original):
+        buckets.setdefault(gate.signature(), []).append(i)
+    preds = dependency_preds_reference(original, table)
+    placed: set[int] = set()
+    cursor: dict[tuple, int] = {}
+    for gate in candidate:
+        sig = gate.signature()
+        queue = buckets.get(sig, [])
+        pos = cursor.get(sig, 0)
+        if pos >= len(queue) or not placed.issuperset(preds[queue[pos]]):
+            return False
+        placed.add(queue[pos])
+        cursor[sig] = pos + 1
+    return True

@@ -85,11 +85,6 @@ def test_cf_front_h_blocks_cx_control():
     assert not unitary_commute(H(0), CX(0, 1), 2)
 
 
-def test_cf_front_window_cap():
-    gates = [CX(1, 3), CX(2, 3), CX(0, 3)]
-    assert cf_front(gates, window=2) == {0, 1}
-
-
 def test_no_predecessor_subset_of_cf_front_random():
     rng = random.Random(5)
     for _ in range(300):
