@@ -34,7 +34,6 @@ from .router import (
     Schedule,
     ScheduledGate,
     TooManyQubitsError,
-    candidate_swaps,
     heuristic_priority,
     initial_mapping,
     launch,
@@ -59,7 +58,7 @@ __all__ = [
     "BASELINE_TABLE", "CommutationTable", "cf_front", "commutes", "no_predecessor_front",
     "Diagnostic", "QasmError", "emit_program", "parse_file", "parse_program", "validate",
     "Mapping", "Router", "RouterConfig", "RoutingResult", "Schedule", "ScheduledGate",
-    "TooManyQubitsError", "candidate_swaps", "heuristic_priority", "initial_mapping",
+    "TooManyQubitsError", "heuristic_priority", "initial_mapping",
     "launch", "rescore_true_durations", "route", "weighted_depth",
     "EquivalenceReport", "OracleLimitError", "dependency_equivalence",
     "statevector_oracle", "verify_equivalence",

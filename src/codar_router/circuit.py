@@ -1,7 +1,7 @@
 """Gate-level circuit IR: gate kinds, gates, and ordered gate sequences."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 
@@ -94,7 +94,9 @@ class Gate:
         return sig
 
     def with_qubits(self, qubits: tuple[int, ...]) -> Gate:
-        return replace(self, qubits=qubits)
+        # The constructor, not ``dataclasses.replace``, which inspects the
+        # fields on every call; a test checks that no field is left out.
+        return Gate(self.kind, qubits, self.params, self.cbit, self.source_line)
 
     def __str__(self) -> str:
         args = ",".join(str(q) for q in self.qubits)

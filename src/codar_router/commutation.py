@@ -257,8 +257,13 @@ class LaneFrontier:
         """Indices of the remaining gates on ``qubit``, in list order."""
         return self._lanes.get(qubit, [])
 
-    def remove(self, indices) -> None:
-        """Drop gates from the list and bring the front up to date."""
+    def remove(self, indices) -> set[int]:
+        """Drop gates from the list and bring the front up to date.
+
+        Returns the gates that entered the front.  Dropping gates only
+        removes marks from lanes, so no remaining gate leaves the front: the
+        entrants are the whole change besides the dropped gates themselves.
+        """
         touched: set[int] = set()
         for i in indices:
             for q in dict.fromkeys(self._gates[i].qubits):
@@ -268,7 +273,7 @@ class LaneFrontier:
                 del self._lane_gates[q][pos]
                 touched.add(q)
         self.front.difference_update(indices)
-        self._update(self._rescan(touched).difference(indices))
+        return self._update(self._rescan(touched).difference(indices))
 
     def _rescan(self, qubits) -> set[int]:
         """Rescan lanes; returns the gates that entered or left one of their fronts."""
@@ -280,13 +285,17 @@ class LaneFrontier:
             self._lane_front[q] = new
         return moved
 
-    def _update(self, moved) -> None:
+    def _update(self, moved) -> set[int]:
+        """Re-test the gates that moved in a lane front; returns those now in the front."""
         lane_front = self._lane_front
+        entered = set()
         for i in moved:
             if all(i in lane_front[q] for q in self._gates[i].qubits):
-                self.front.add(i)
+                entered.add(i)
             else:
                 self.front.discard(i)
+        self.front |= entered
+        return entered
 
 
 _ANGLE_SAMPLES = (0.37, 1.1, 2.0, 4.4)

@@ -240,26 +240,24 @@ def launch(pgate: Gate, t: int, locks: list[int], schedule: list[ScheduledGate],
     return item
 
 
-def candidate_swaps(cf_gates, mapping: Mapping, locks: list[int], t: int,
+def candidate_swaps(endpoints, locks: list[int], t: int,
                     arch: Architecture) -> list[tuple[int, int]]:
-    """Lock-free SWAP candidates for the non-compliant CF two-qubit gates.
+    """Lock-free SWAP candidates around the blocked gates' physical qubits.
 
-    A coupling edge qualifies when it touches the physical home of either
-    operand of such a gate and both of its qubits are free at ``t``.  Only
-    edges incident to the blocked gates are searched, never the whole device.
+    ``endpoints`` are the physical qubits holding an operand of a front
+    two-qubit gate that is not coupling-compliant.  A coupling edge qualifies
+    when it touches one of them and both of its qubits are free at ``t``, so
+    only edges incident to the blocked gates are searched, never the whole
+    device.  Each edge is listed once, as ``(low, high)``, in sorted order.
     """
-    fwd = mapping.forward
-    endpoints: set[int] = set()
-    for gate in cf_gates:
-        if _is_coupling_gate(gate) and not _compliant(gate, fwd, arch):
-            endpoints.update(fwd[q] for q in gate.qubits)
+    adjacency = arch.graph.adjacency()
     found: set[tuple[int, int]] = set()
     for p in endpoints:
         if locks[p] > t:
             continue
-        for m in arch.graph.neighbors(p):
+        for m in adjacency[p]:
             if locks[m] <= t:
-                found.add((min(p, m), max(p, m)))
+                found.add((p, m) if p < m else (m, p))
     return sorted(found)
 
 
@@ -285,25 +283,98 @@ def heuristic_priority(swap: tuple[int, int], cf_gates, mapping: Mapping,
     return score
 
 
-def _by_physical_qubit(gates, fwd: list[int]) -> dict[int, list[Gate]]:
-    """Gates indexed by the physical qubits their operands sit on."""
-    index: dict[int, list[Gate]] = {}
-    for gate in gates:
-        for q in gate.qubits:
-            index.setdefault(fwd[q], []).append(gate)
-    return index
+class _SwapSearch:
+    """SWAP-search state kept for a whole route and updated only where it changed.
 
-
-def _incident_gates(edge: tuple[int, int], index: dict[int, list[Gate]]) -> list[Gate]:
-    """The gates of ``index`` with an operand on an endpoint of ``edge``.
-
-    These are the only gates whose distance a SWAP on ``edge`` can change, so
-    their :func:`heuristic_priority` equals the whole list's.  A gate on both
-    endpoints is listed twice, which adds nothing: the SWAP only exchanges its
-    operands, so its score is 0.
+    It holds the front's two-qubit gates indexed by the physical qubit of each
+    operand, the blocked (non-compliant) ones among them with a count per
+    physical qubit, and the scores of coupling edges already computed.  A
+    SWAP on edge ``(i, j)`` changes the distance of a gate only when an
+    operand sits on ``i`` or ``j``, so an edge's score depends only on the
+    gates on its endpoints and their placement, never on the clock or the
+    locks.  Whenever a gate enters, leaves or moves, the scores of the edges
+    on its physical qubits are dropped.
     """
-    i, j = edge
-    return index.get(i, []) + index.get(j, [])
+
+    def __init__(self, gates: list[Gate], placement: _Placement, arch: Architecture):
+        self.gates = gates
+        self.placement = placement
+        self.arch = arch
+        # Live view: placement.swap mutates fwd in place.
+        self.mapping = Mapping(placement.fwd, arch.num_qubits)
+        self.on_qubit: list[set[int]] = [set() for _ in range(arch.num_qubits)]
+        #: Source indices of the blocked front two-qubit gates.
+        self.blocked: set[int] = set()
+        self.endpoints: dict[int, int] = {}
+        self.scores: dict[tuple[int, int], int] = {}
+        self.edges_at = [[(p, m) if p < m else (m, p) for m in neighbors]
+                         for p, neighbors in enumerate(arch.graph.adjacency())]
+
+    def add(self, seqs) -> None:
+        """Index gates that entered the front; one-qubit gates and barriers are skipped."""
+        fwd = self.placement.fwd
+        dist = self.arch.distances
+        for seq in seqs:
+            gate = self.gates[seq]
+            if not _is_coupling_gate(gate):
+                continue
+            a, b = fwd[gate.qubits[0]], fwd[gate.qubits[1]]
+            self.on_qubit[a].add(seq)
+            self.on_qubit[b].add(seq)
+            if dist[a][b] != 1:
+                self.blocked.add(seq)
+                self.endpoints[a] = self.endpoints.get(a, 0) + 1
+                self.endpoints[b] = self.endpoints.get(b, 0) + 1
+            self._invalidate(a)
+            self._invalidate(b)
+
+    def discard(self, seqs) -> None:
+        """Drop gates that left the front, or are about to move."""
+        fwd = self.placement.fwd
+        for seq in seqs:
+            gate = self.gates[seq]
+            if not _is_coupling_gate(gate):
+                continue
+            a, b = fwd[gate.qubits[0]], fwd[gate.qubits[1]]
+            self.on_qubit[a].discard(seq)
+            self.on_qubit[b].discard(seq)
+            if seq in self.blocked:
+                self.blocked.discard(seq)
+                for p in (a, b):
+                    self.endpoints[p] -= 1
+                    if not self.endpoints[p]:
+                        del self.endpoints[p]
+            self._invalidate(a)
+            self._invalidate(b)
+
+    def swap(self, i: int, j: int) -> None:
+        """Exchange the placement of physical qubits ``i`` and ``j``."""
+        moved = self.on_qubit[i] | self.on_qubit[j]
+        self.discard(moved)
+        self.placement.swap(i, j)
+        self.add(moved)
+
+    def _invalidate(self, p: int) -> None:
+        for edge in self.edges_at[p]:
+            self.scores.pop(edge, None)
+
+    def best(self, locks: list[int], t: int) -> tuple[int, int] | None:
+        """Highest strictly positive scoring candidate, ties to the smallest edge."""
+        best = None
+        best_score = 0
+        # Module-level names, looked up at each call, so that a wrapper
+        # installed on this module sees every candidate search and score.
+        for edge in candidate_swaps(self.endpoints, locks, t, self.arch):
+            score = self.scores.get(edge)
+            if score is None:
+                i, j = edge
+                incident = self.on_qubit[i] | self.on_qubit[j]
+                score = heuristic_priority(edge, [self.gates[seq] for seq in incident],
+                                           self.mapping, self.arch.distances)
+                self.scores[edge] = score
+            if score > best_score:
+                best, best_score = edge, score
+        return best
 
 
 class _Router:
@@ -316,6 +387,8 @@ class _Router:
         self.items: list[ScheduledGate] = []
         self.pending: dict[int, Gate] = dict(enumerate(circuit.gates))
         self.frontier = LaneFrontier(circuit.gates, self._lane_front)
+        self.search = _SwapSearch(circuit.gates, self.placement, arch)
+        self.search.add(self.frontier.front)
         self.t = 0
         self.stall_counter = 0
         self.stall_events = 0
@@ -337,24 +410,22 @@ class _Router:
     def _free(self, q: int) -> bool:
         return self.locks[q] <= self.t
 
-    def _phys_gate(self, gate: Gate) -> Gate:
-        fwd = self.placement.fwd
-        return gate.with_qubits(tuple(fwd[q] for q in gate.qubits))
-
     # launch phase --------------------------------------------------------
     def _launch_ready(self) -> bool:
         launched = False
+        fwd, blocked = self.placement.fwd, self.search.blocked
+        locks, t = self.locks, self.t
+        ready = self.frontier.front
         while True:
             taken: list[int] = []
-            for seq in sorted(self.frontier.front):
+            for seq in sorted(ready):
+                if seq in blocked:
+                    continue
                 gate = self.pending[seq]
-                if not _compliant(gate, self.placement.fwd, self.arch):
+                if any(locks[fwd[q]] > t for q in gate.qubits):
                     continue
-                pgate = self._phys_gate(gate)
-                if not all(self._free(q) for q in pgate.qubits):
-                    continue
-                launch(pgate, self.t, self.locks, self.items, self.arch,
-                       self.config.duration_aware)
+                pgate = gate.with_qubits(tuple(fwd[q] for q in gate.qubits))
+                launch(pgate, t, locks, self.items, self.arch, self.config.duration_aware)
                 taken.append(seq)
                 if self.forced_seq == seq:
                     self.forced_seq = None
@@ -363,24 +434,19 @@ class _Router:
             launched = True
             for seq in taken:
                 del self.pending[seq]
-            self.frontier.remove(taken)
+            self.search.discard(taken)
+            # Within a cycle the placement is fixed and locks only tighten,
+            # so a gate that could not launch still cannot: only the gates
+            # that just entered the front are worth another look.
+            ready = self.frontier.remove(taken)
+            self.search.add(ready)
 
     # swap phase ----------------------------------------------------------
-    def _front_coupling(self) -> list[int]:
-        """Source indices of the front's two-qubit gates, in program order."""
-        return [seq for seq in sorted(self.frontier.front)
-                if _is_coupling_gate(self.pending[seq])]
-
-    def _blocked_front(self) -> list[int]:
-        fwd = self.placement.fwd
-        return [seq for seq in self._front_coupling()
-                if not _compliant(self.pending[seq], fwd, self.arch)]
-
     def _launch_swap(self, edge: tuple[int, int]) -> None:
         pgate = Gate(GateKind.SWAP, edge)
         launch(pgate, self.t, self.locks, self.items, self.arch,
                self.config.duration_aware, inserted=True)
-        self.placement.swap(*edge)
+        self.search.swap(*edge)
         self.n_swaps += 1
 
     def _forced_swap(self) -> bool:
@@ -414,24 +480,7 @@ class _Router:
 
     def _heuristic_swaps(self) -> bool:
         launched = False
-        # Live view: _launch_swap mutates placement.fwd in place.
-        mapping_view = Mapping(self.placement.fwd, self.arch.num_qubits)
-        # SWAPs launch no gates, so the front stays the same throughout.
-        front_2q = [self.pending[seq] for seq in self._front_coupling()]
-        while True:
-            cands = candidate_swaps(front_2q, mapping_view, self.locks, self.t, self.arch)
-            if not cands:
-                break
-            by_qubit = _by_physical_qubit(front_2q, self.placement.fwd)
-            best = None
-            best_score = 0
-            for edge in cands:
-                score = heuristic_priority(edge, _incident_gates(edge, by_qubit),
-                                           mapping_view, self.arch.distances)
-                if score > best_score:
-                    best, best_score = edge, score
-            if best is None:
-                break
+        while (best := self.search.best(self.locks, self.t)) is not None:
             self._launch_swap(best)
             launched = True
             if self.n_swaps > self.swap_cap:
@@ -447,17 +496,31 @@ class _Router:
             launched = self._launch_ready()
             if self.forced_seq not in self.pending:
                 self.forced_seq = None
-            blocked = self._blocked_front()
+            blocked = self.search.blocked
             if self.forced_seq is None and blocked and (
                     self.desperate or self.stall_counter >= stall_limit):
-                self.forced_seq = blocked[0]
+                self.forced_seq = min(blocked)
                 self.stall_events += 1
             if self.forced_seq is not None:
                 launched = self._forced_swap() or launched
             elif blocked:
                 launched = self._heuristic_swaps() or launched
-            self.stall_counter = 0 if launched else self.stall_counter + 1
-            self.t += 1
+            if launched:
+                self.stall_counter = 0
+                self.t += 1
+                continue
+            # An idle cycle leaves everything the next one reads as it was,
+            # except the stall counter, so the cycles after it stay idle
+            # until a lock releases or, while no gate is forced and one is
+            # blocked, the counter reaches the stall limit (it is below the
+            # limit here, or this cycle would have forced a gate).  Skip to
+            # the earlier of the two, counting the skipped cycles as stalled.
+            events = [lock for lock in self.locks if lock > self.t]
+            if self.forced_seq is None and blocked:
+                events.append(self.t + stall_limit - self.stall_counter)
+            resume = min(events, default=self.t + 1)
+            self.stall_counter += resume - self.t
+            self.t = resume
         return Schedule(self.items, init_mapping, self.placement.mapping(),
                         self.stall_events)
 

@@ -223,3 +223,45 @@ def is_commuting_reordering_reference(original, candidate, table) -> bool:
         placed.add(queue[pos])
         cursor[sig] = pos + 1
     return True
+
+
+# --- SWAP search from scratch ---------------------------------------------
+# The search the router's incremental SWAP-search state replaced: blocked
+# endpoints re-derived from every front gate, and every candidate scored by
+# heuristic_priority over the whole front, on each call.
+
+def candidate_swaps_reference(cf_gates, mapping, locks: list[int], t: int,
+                              arch) -> list[tuple[int, int]]:
+    """Free coupling edges touching an operand of a non-compliant two-qubit gate."""
+    fwd = mapping.forward
+    endpoints: set[int] = set()
+    for gate in cf_gates:
+        if gate.kind in (GateKind.CX, GateKind.SWAP) and arch.distance(
+                fwd[gate.qubits[0]], fwd[gate.qubits[1]]) != 1:
+            endpoints.update(fwd[q] for q in gate.qubits)
+    found: set[tuple[int, int]] = set()
+    for p in endpoints:
+        if locks[p] > t:
+            continue
+        for m in arch.graph.neighbors(p):
+            if locks[m] <= t:
+                found.add((min(p, m), max(p, m)))
+    return sorted(found)
+
+
+def swap_scores_reference(cf_gates, mapping, locks: list[int], t: int,
+                          arch) -> dict[tuple[int, int], int]:
+    """Every candidate SWAP with its score over the whole front."""
+    from codar_router.router import heuristic_priority
+
+    return {edge: heuristic_priority(edge, cf_gates, mapping, arch.distances)
+            for edge in candidate_swaps_reference(cf_gates, mapping, locks, t, arch)}
+
+
+def best_swap_reference(cf_gates, mapping, locks: list[int], t: int, arch):
+    """Highest strictly positive scoring candidate, ties to the smallest edge."""
+    best, best_score = None, 0
+    for edge, score in swap_scores_reference(cf_gates, mapping, locks, t, arch).items():
+        if score > best_score:
+            best, best_score = edge, score
+    return best

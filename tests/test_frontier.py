@@ -1,5 +1,6 @@
-"""Differential tests: the lane frontier and the checker built on it against
-the full-rescan references in ``oracles.py``, plus the restricted SWAP score.
+"""Differential tests against the references in ``oracles.py``: the lane
+frontier and the checker built on it against full rescans, and the router's
+incremental SWAP-search state against the search from scratch.
 """
 from __future__ import annotations
 
@@ -22,14 +23,16 @@ from codar_router import (
     route,
 )
 from codar_router.commutation import LaneFrontier
-from codar_router.router import _by_physical_qubit, _incident_gates, heuristic_priority
+from codar_router.router import _Placement, _SwapSearch
 from codar_router.verify import _is_commuting_reordering, dependency_equivalence, replay_schedule
 
 from oracles import (
+    best_swap_reference,
     cf_front_reference,
     is_commuting_reordering_reference,
     no_predecessor_front_reference,
     random_unitary_gate,
+    swap_scores_reference,
 )
 
 # Rows no dense-matrix check would pass: H commuting with itself, with Z and
@@ -97,7 +100,12 @@ def test_lane_frontier_matches_full_rescan(seed):
                 # Mostly launch-like rounds from the front; sometimes any gates.
                 pool = sorted(frontier.front) if frontier.front and rng.random() < 0.75 else remaining
                 batch = rng.sample(pool, rng.randint(1, min(3, len(pool))))
-                frontier.remove(batch)
+                before = set(frontier.front)
+                entered = frontier.remove(batch)
+                # No remaining gate leaves the front, so the entrants are the
+                # whole change.
+                assert before - set(batch) <= frontier.front
+                assert entered == frontier.front - before
                 remaining = [i for i in remaining if i not in batch]
 
 
@@ -197,20 +205,55 @@ def test_blocker_is_the_earliest_unplaced_non_commuting_gate():
         "x 0 at position 1 jumped before non-commuting z 0"]
 
 
-@given(st.integers(0, 10_000))
-@settings(max_examples=100, deadline=None)
-def test_incident_swap_score_equals_full_front_score(seed):
-    rng = random.Random(seed)
-    arch = rng.choice(ARCHS + (preset_architecture("q20-tokyo"),))
-    n = rng.randint(2, arch.num_qubits)
-    fwd = rng.sample(range(arch.num_qubits), n)
-    mapping = Mapping(fwd, arch.num_qubits)
-    front = [Gate(rng.choice((GateKind.CX, GateKind.SWAP)), tuple(rng.sample(range(n), 2)))
-             for _ in range(rng.randint(0, 8))]
-    # One-qubit gates score 0 and may sit in the list too.
-    front += [Gate(GateKind.H, (rng.randrange(n),)) for _ in range(rng.randint(0, 2))]
-    index = _by_physical_qubit(front, fwd)
-    for edge in arch.graph.edges:
-        edge = (min(edge), max(edge))
-        assert (heuristic_priority(edge, _incident_gates(edge, index), mapping, arch.distances)
-                == heuristic_priority(edge, front, mapping, arch.distances))
+def test_swap_search_state_matches_search_from_scratch():
+    """Random front entries, launches, SWAPs and lock vectors on large devices.
+
+    After every step the state's blocked set, its oldest gate and its chosen
+    SWAP must equal what the search from scratch derives from the whole front.
+    """
+    ties = 0
+    for seed in range(24):
+        rng = random.Random(seed)
+        arch = preset_architecture("q20-tokyo") if seed % 2 else grid_architecture(10, 10)
+        num_physical = arch.num_qubits
+        # Few logical qubits crowd the front onto the same pairs and tie scores.
+        n = rng.choice((3, 6, 12, num_physical))
+        placement = _Placement(Mapping(rng.sample(range(num_physical), n), num_physical))
+        gates = [Gate(rng.choice((GateKind.CX, GateKind.CX, GateKind.SWAP)),
+                      tuple(rng.sample(range(n), 2))) if rng.random() < 0.85
+                 else Gate(GateKind.H, (rng.randrange(n),)) for _ in range(40)]
+        search = _SwapSearch(gates, placement, arch)
+        waiting = list(range(len(gates)))
+        front: set[int] = set()
+        edges = sorted(arch.graph.edges)
+        for _ in range(40):
+            roll = rng.random()
+            if roll < 0.35 and waiting:
+                entering = [waiting.pop(rng.randrange(len(waiting)))
+                            for _ in range(min(len(waiting), rng.randint(1, 4)))]
+                search.add(entering)
+                front.update(entering)
+            elif roll < 0.55 and front:
+                launched = rng.sample(sorted(front), rng.randint(1, min(3, len(front))))
+                search.discard(launched)
+                front.difference_update(launched)
+            else:
+                search.swap(*rng.choice(edges))
+            t = rng.randrange(1, 10)
+            locks = [rng.choice((0, t, t + 1, t + 6)) if rng.random() < 0.4 else 0
+                     for _ in range(num_physical)]
+
+            mapping = Mapping(placement.fwd, num_physical)
+            cf_gates = [gates[seq] for seq in sorted(front)]
+            blocked = [seq for seq in sorted(front)
+                       if gates[seq].kind is not GateKind.H
+                       and arch.distance(*(placement.fwd[q] for q in gates[seq].qubits)) != 1]
+            assert search.blocked == set(blocked)
+            assert set(search.endpoints) == {placement.fwd[q] for seq in blocked
+                                             for q in gates[seq].qubits}
+            assert min(search.blocked, default=None) == (blocked[0] if blocked else None)
+            assert search.best(locks, t) == best_swap_reference(cf_gates, mapping, locks, t, arch)
+
+            scores = list(swap_scores_reference(cf_gates, mapping, locks, t, arch).values())
+            ties += max(scores, default=0) > 0 and scores.count(max(scores)) > 1
+    assert ties > 0

@@ -1,9 +1,10 @@
-"""Golden routes of seeded 600-gate programs on the large devices.
+"""Golden routes of seeded programs on the large devices.
 
 Each route must pass the dependency check, keep every qubit's gates apart in
 time, put every two-qubit gate on a coupling edge, and reproduce the SHA-256
-of its ``Schedule.to_json()``.  The grid case hits stall events, so it goes
-through forced single-gate routing as well.
+of its ``Schedule.to_json()``.  The grid cases hit stall events, so they go
+through forced single-gate routing as well; one of them runs out of its SWAP
+budget and finishes in desperate mode.
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import random
 
 import pytest
 
+import codar_router.router as router_module
 from codar_router import Circuit, GateKind, resolve_architecture, route
 from codar_router.verify import dependency_equivalence
 
@@ -43,7 +45,34 @@ def test_large_device_golden_route(device, seed, stalls, digest):
     arch = resolve_architecture(device)
     circuit = random_program(arch.num_qubits, 600, random.Random(seed))
     schedule = route(circuit, arch).schedule
+    check_golden(arch, circuit, schedule, stalls, digest)
 
+
+def test_desperate_mode_drains_the_program(monkeypatch):
+    routers = []
+    init = router_module._Router.__init__
+
+    def init_with_small_cap(self, *args):
+        init(self, *args)
+        self.swap_cap = 200
+        routers.append(self)
+
+    monkeypatch.setattr(router_module._Router, "__init__", init_with_small_cap)
+    arch = resolve_architecture("grid:10x10")
+    circuit = random_program(arch.num_qubits, 300, random.Random(2))
+    schedule = route(circuit, arch).schedule
+
+    (router,) = routers
+    assert router.desperate and router.n_swaps > router.swap_cap
+    assert not router.pending
+    assert sum(not item.inserted for item in schedule.items) == len(circuit.gates)
+    # Desperate mode forces the oldest blocked gate whenever none is forced,
+    # one stall event each time.
+    check_golden(arch, circuit, schedule, 100,
+                 "8bf70bda43b41fd86b84c2f6de045c447524d155c89ef6695c1b8b09c2b8303b")
+
+
+def check_golden(arch, circuit, schedule, stalls, digest):
     report = dependency_equivalence(circuit, schedule)
     assert report.dependency_ok, report.details
     busy: dict[int, list[tuple[int, int]]] = {}

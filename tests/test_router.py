@@ -1,6 +1,11 @@
+import dataclasses
+import hashlib
+
 import pytest
 
+import codar_router.router as router_module
 from codar_router import (
+    DEFAULT_DURATIONS,
     Circuit,
     Gate,
     GateKind,
@@ -8,7 +13,7 @@ from codar_router import (
     Router,
     RouterConfig,
     TooManyQubitsError,
-    candidate_swaps,
+    grid_architecture,
     heuristic_priority,
     initial_mapping,
     launch,
@@ -16,7 +21,7 @@ from codar_router import (
     route,
     weighted_depth,
 )
-from codar_router.router import LockViolationError
+from codar_router.router import LockViolationError, candidate_swaps
 from codar_router.verify import replay_schedule
 
 
@@ -98,19 +103,18 @@ def test_launch_on_busy_qubit_raises(square4):
 
 
 def test_candidate_swaps_walkthrough(demo6):
-    blocked = [Gate(GateKind.CX, (0, 3))]
-    mapping = Mapping.identity(6, 6)
+    # The blocked CX(0,3) under the identity mapping: endpoints 0 and 3.
+    endpoints = {0, 3}
     # cycle 0 of the walkthrough: locks as just after CX(0,2) and T(1) launch
     locks = [2, 1, 2, 0, 0, 0]
-    assert candidate_swaps(blocked, mapping, locks, 0, demo6) == [(3, 5)]
+    assert candidate_swaps(endpoints, locks, 0, demo6) == [(3, 5)]
     # cycle 1: q1 releases, q2 still busy
-    assert candidate_swaps(blocked, mapping, locks, 1, demo6) == [(1, 3), (3, 5)]
+    assert candidate_swaps(endpoints, locks, 1, demo6) == [(1, 3), (3, 5)]
 
 
 def test_candidate_swaps_no_blocked_gates(square4):
-    mapping = Mapping.identity(4, 4)
-    assert candidate_swaps([Gate(GateKind.CX, (0, 1))], mapping, [0] * 4, 0, square4) == []
-    assert candidate_swaps([], mapping, [0] * 4, 0, square4) == []
+    # CX(0,1) is compliant on square4, so nothing is blocked: no endpoints.
+    assert candidate_swaps(set(), [0] * 4, 0, square4) == []
 
 
 def test_heuristic_square4_positive(square4):
@@ -242,6 +246,41 @@ def test_forced_move_counts_stall_event():
     # forced routing still produces a legal, complete schedule
     kinds = [it.gate.kind for it in result.schedule.items]
     assert kinds.count(GateKind.CX) == 2
+
+
+def test_idle_cycles_skip_to_the_stall_limit_under_a_long_lock(monkeypatch):
+    # CX(1,2) holds qubits 1 and 2 for 20 cycles, so nothing can move CX(0,3)
+    # closer; with stall_limit=1 the router forces it at cycle 2, long before
+    # the lock releases, then waits for the first release at cycle 6.
+    arch = grid_architecture(1, 5, {**DEFAULT_DURATIONS, GateKind.CX: 20})
+    circ = Circuit(5).cx(1, 2).cx(0, 3).t(0).cx(2, 4).cx(1, 4).h(3)
+    cycles = []
+    launch_ready = router_module._Router._launch_ready
+
+    def record(self):
+        cycles.append(self.t)
+        return launch_ready(self)
+
+    monkeypatch.setattr(router_module._Router, "_launch_ready", record)
+    schedule = route(circ, arch, config=RouterConfig(stall_limit=1)).schedule
+    assert cycles[:4] == [0, 1, 2, 6]
+    assert schedule.stall_events == 2
+    assert schedule.weighted_depth == 79
+    # The schedule that simulating every cycle, with no skip, produces.
+    assert hashlib.sha256(schedule.to_json().encode()).hexdigest() == (
+        "a58680d4a0730fd1defe322fddcde80460711b99240e495c0f16da538ec7347f")
+
+
+def test_with_qubits_keeps_every_other_field():
+    gate = Gate(GateKind.MEASURE, (3,), (0.5,), cbit=2, source_line=7)
+    # Every field differs from its default, so one that is dropped shows.
+    for field in dataclasses.fields(Gate):
+        assert field.default is dataclasses.MISSING or getattr(gate, field.name) != field.default
+    moved = gate.with_qubits((5,))
+    assert moved.qubits == (5,)
+    for field in dataclasses.fields(Gate):
+        if field.name != "qubits":
+            assert getattr(moved, field.name) == getattr(gate, field.name), field.name
 
 
 def test_stall_limit_validation():
