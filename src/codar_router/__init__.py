@@ -28,15 +28,12 @@ from .commutation import (
 from .qasm import Diagnostic, QasmError, emit_program, parse_file, parse_program, validate
 from .router import (
     Mapping,
-    Router,
     RouterConfig,
     RoutingResult,
     Schedule,
     ScheduledGate,
     TooManyQubitsError,
-    heuristic_priority,
     initial_mapping,
-    launch,
     rescore_true_durations,
     route,
     weighted_depth,
@@ -57,9 +54,9 @@ __all__ = [
     "Circuit", "Gate", "GateKind",
     "BASELINE_TABLE", "CommutationTable", "cf_front", "commutes", "no_predecessor_front",
     "Diagnostic", "QasmError", "emit_program", "parse_file", "parse_program", "validate",
-    "Mapping", "Router", "RouterConfig", "RoutingResult", "Schedule", "ScheduledGate",
-    "TooManyQubitsError", "heuristic_priority", "initial_mapping",
-    "launch", "rescore_true_durations", "route", "weighted_depth",
+    "Mapping", "RouterConfig", "RoutingResult", "Schedule", "ScheduledGate",
+    "TooManyQubitsError", "initial_mapping", "rescore_true_durations", "route",
+    "weighted_depth",
     "EquivalenceReport", "OracleLimitError", "dependency_equivalence",
     "statevector_oracle", "verify_equivalence",
     "__version__",

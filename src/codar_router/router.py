@@ -38,12 +38,29 @@ class LockViolationError(RuntimeError):
     """Internal invariant breach: a gate was issued on a busy qubit."""
 
 
-@dataclass
 class Mapping:
-    """Injective map from logical qubits onto physical qubits."""
+    """Injective map from logical qubits onto physical qubits.
 
-    forward: list[int]
-    num_physical: int
+    The placement is kept total over the device: ``fwd[l]`` is the physical
+    qubit of logical ``l`` and ``inv[p]`` the logical id on physical ``p``.
+    Unoccupied physical qubits hold ancilla ids at and above ``num_logical``,
+    so a SWAP is always a relocation, even when one side carries no program
+    state.  Ancillas carry no state, so equality compares only ``forward``
+    and ``num_physical``.
+    """
+
+    def __init__(self, forward: list[int], num_physical: int):
+        forward = list(forward)
+        taken = set(forward)
+        if len(taken) != len(forward):
+            raise RouterError("mapping is not injective")
+        if forward and (min(forward) < 0 or max(forward) >= num_physical):
+            raise RouterError("mapping targets a qubit outside the device")
+        self.num_logical = len(forward)
+        self.fwd = forward + [p for p in range(num_physical) if p not in taken]
+        self.inv = [0] * num_physical
+        for logical, phys in enumerate(self.fwd):
+            self.inv[phys] = logical
 
     @staticmethod
     def identity(num_logical: int, num_physical: int) -> Mapping:
@@ -52,54 +69,38 @@ class Mapping:
         return Mapping(list(range(num_logical)), num_physical)
 
     @property
-    def num_logical(self) -> int:
-        return len(self.forward)
+    def forward(self) -> list[int]:
+        """Logical-to-physical list of the program qubits (a copy)."""
+        return self.fwd[:self.num_logical]
+
+    @property
+    def num_physical(self) -> int:
+        return len(self.inv)
 
     def physical(self, logical: int) -> int:
-        return self.forward[logical]
+        return self.fwd[logical]
 
     def inverse(self) -> list[int]:
         """Physical-to-logical array; -1 marks an unoccupied physical qubit."""
-        inv = [-1] * self.num_physical
-        for logical, phys in enumerate(self.forward):
-            inv[phys] = logical
-        return inv
-
-    def copy(self) -> Mapping:
-        return Mapping(list(self.forward), self.num_physical)
-
-    def check(self) -> None:
-        n = len(set(self.forward))
-        if n != len(self.forward):
-            raise RouterError("mapping is not injective")
-        if self.forward and (min(self.forward) < 0 or max(self.forward) >= self.num_physical):
-            raise RouterError("mapping targets a qubit outside the device")
-
-
-class _Placement:
-    """Total logical-plus-ancilla placement used while routing.
-
-    Unoccupied physical qubits get synthetic logical ids at and above the
-    program's qubit count so a SWAP can always be replayed as a relocation,
-    even when one side carries no program state.
-    """
-
-    def __init__(self, init: Mapping):
-        self.num_logical = init.num_logical
-        self.fwd = list(init.forward)
-        taken = set(self.fwd)
-        self.fwd.extend(p for p in range(init.num_physical) if p not in taken)
-        self.inv = [0] * init.num_physical
-        for logical, phys in enumerate(self.fwd):
-            self.inv[phys] = logical
+        n = self.num_logical
+        return [logical if logical < n else -1 for logical in self.inv]
 
     def swap(self, i: int, j: int) -> None:
+        """Exchange the occupants of physical qubits ``i`` and ``j``."""
         a, b = self.inv[i], self.inv[j]
         self.inv[i], self.inv[j] = b, a
         self.fwd[a], self.fwd[b] = j, i
 
-    def mapping(self) -> Mapping:
-        return Mapping(self.fwd[:self.num_logical], len(self.inv))
+    def copy(self) -> Mapping:
+        return Mapping(self.forward, self.num_physical)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        return self.forward == other.forward and self.num_physical == other.num_physical
+
+    def __repr__(self) -> str:
+        return f"Mapping({self.forward}, {self.num_physical})"
 
 
 @dataclass(frozen=True)
@@ -152,8 +153,8 @@ class Schedule:
                 }
                 for it in self.items
             ],
-            "initial_mapping": list(self.initial_mapping.forward),
-            "final_mapping": list(self.final_mapping.forward),
+            "initial_mapping": self.initial_mapping.forward,
+            "final_mapping": self.final_mapping.forward,
             "weighted_depth": self.weighted_depth,
             "swap_count": self.swap_count,
             "stall_events": self.stall_events,
@@ -191,15 +192,12 @@ class RouterConfig:
 
     duration_aware: bool = True
     commutativity_on: bool = True
-    initial_mapping_policy: str = "identity"
     stall_limit: int | None = None
     table: CommutationTable = BASELINE_TABLE
 
     def __post_init__(self):
         if self.stall_limit is not None and self.stall_limit < 1:
             raise RouterError("stall_limit must be >= 1")
-        if self.initial_mapping_policy not in ("identity", "reverse_pass"):
-            raise RouterError(f"unknown initial mapping policy {self.initial_mapping_policy!r}")
 
 
 @dataclass
@@ -261,17 +259,17 @@ def candidate_swaps(endpoints, locks: list[int], t: int,
     return sorted(found)
 
 
-def heuristic_priority(swap: tuple[int, int], cf_gates, mapping: Mapping,
+def heuristic_priority(swap: tuple[int, int], cf_gates, fwd: list[int],
                        distances: list[list[int]]) -> int:
     """Total-distance gain of a SWAP over the pending CF two-qubit gates.
 
+    ``fwd`` is the logical-to-physical list of the current placement.
     Positive means the swap moves interacting qubits closer on aggregate.
     Already-adjacent pairs sit at distance 1 and can only be penalized, which
     stops the search from tearing apart a gate that is merely waiting for its
     qubits to unlock.
     """
     i, j = swap
-    fwd = mapping.forward
     score = 0
     for gate in cf_gates:
         if not _is_coupling_gate(gate):
@@ -296,12 +294,10 @@ class _SwapSearch:
     on its physical qubits are dropped.
     """
 
-    def __init__(self, gates: list[Gate], placement: _Placement, arch: Architecture):
+    def __init__(self, gates: list[Gate], placement: Mapping, arch: Architecture):
         self.gates = gates
         self.placement = placement
         self.arch = arch
-        # Live view: placement.swap mutates fwd in place.
-        self.mapping = Mapping(placement.fwd, arch.num_qubits)
         self.on_qubit: list[set[int]] = [set() for _ in range(arch.num_qubits)]
         #: Source indices of the blocked front two-qubit gates.
         self.blocked: set[int] = set()
@@ -370,7 +366,7 @@ class _SwapSearch:
                 i, j = edge
                 incident = self.on_qubit[i] | self.on_qubit[j]
                 score = heuristic_priority(edge, [self.gates[seq] for seq in incident],
-                                           self.mapping, self.arch.distances)
+                                           self.placement.fwd, self.arch.distances)
                 self.scores[edge] = score
             if score > best_score:
                 best, best_score = edge, score
@@ -382,7 +378,8 @@ class _Router:
                  config: RouterConfig):
         self.arch = arch
         self.config = config
-        self.placement = _Placement(init)
+        self.init = init.copy()
+        self.placement = init.copy()
         self.locks = [0] * arch.num_qubits
         self.items: list[ScheduledGate] = []
         self.pending: dict[int, Gate] = dict(enumerate(circuit.gates))
@@ -490,7 +487,6 @@ class _Router:
 
     # main loop -----------------------------------------------------------
     def run(self) -> Schedule:
-        init_mapping = self.placement.mapping()
         stall_limit = self.config.stall_limit or max(1, duration_of(self.arch, GateKind.SWAP))
         while self.pending:
             launched = self._launch_ready()
@@ -521,22 +517,22 @@ class _Router:
             resume = min(events, default=self.t + 1)
             self.stall_counter += resume - self.t
             self.t = resume
-        return Schedule(self.items, init_mapping, self.placement.mapping(),
-                        self.stall_events)
+        return Schedule(self.items, self.init, self.placement, self.stall_events)
 
 
 def initial_mapping(circuit: Circuit, arch: Architecture, policy: str = "identity",
                     config: RouterConfig | None = None) -> Mapping:
-    """Starting placement: identity, or the final mapping of a reverse-order pass."""
-    if circuit.num_qubits > arch.num_qubits:
-        raise TooManyQubitsError(circuit.num_qubits, arch.num_qubits)
+    """Starting placement: identity, or the final mapping of a reverse-order pass.
+
+    This is the one place that decides a non-identity start; ``route`` with
+    no ``init`` starts from the identity.
+    """
+    if policy not in ("identity", "reverse_pass"):
+        raise RouterError(f"unknown initial mapping policy {policy!r}")
     ident = Mapping.identity(circuit.num_qubits, arch.num_qubits)
     if policy == "identity" or not circuit.gates:
         return ident
-    if policy != "reverse_pass":
-        raise RouterError(f"unknown initial mapping policy {policy!r}")
-    result = route(circuit.reversed(), arch, ident, config)
-    return result.schedule.final_mapping
+    return route(circuit.reversed(), arch, ident, config).schedule.final_mapping
 
 
 def route(circuit: Circuit, arch: Architecture, init: Mapping | None = None,
@@ -555,23 +551,12 @@ def route(circuit: Circuit, arch: Architecture, init: Mapping | None = None,
             raise TooManyQubitsError(circuit.num_qubits, arch.num_qubits)
         raise InvalidCircuitError(diagnostics)
     if init is None:
-        init = initial_mapping(circuit, arch, config.initial_mapping_policy, config)
+        init = Mapping.identity(circuit.num_qubits, arch.num_qubits)
     if init.num_logical != circuit.num_qubits or init.num_physical != arch.num_qubits:
         raise RouterError("initial mapping does not match circuit/architecture sizes")
-    init.check()
     schedule = _Router(circuit, arch, init, config).run()
     routed = Circuit(arch.num_qubits, [it.gate for it in schedule.items],
                      circuit.register_name, circuit.creg_name,
                      circuit.num_clbits)
     return RoutingResult(schedule, routed)
 
-
-class Router:
-    """Reusable routing pass bound to one architecture and policy."""
-
-    def __init__(self, arch: Architecture, config: RouterConfig | None = None):
-        self.arch = arch
-        self.config = config or RouterConfig()
-
-    def run(self, circuit: Circuit, init: Mapping | None = None) -> RoutingResult:
-        return route(circuit, self.arch, init, self.config)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .circuit import Circuit, Gate, GateKind
 from .commutation import BASELINE_TABLE, CommutationTable, LaneFrontier, cf_front
-from .router import Mapping, Schedule, ScheduledGate, _Placement
+from .router import Mapping, Schedule, ScheduledGate
 
 ORACLE_QUBIT_LIMIT = 10
 
@@ -144,7 +144,7 @@ def replay_schedule(items: list[ScheduledGate], init: Mapping) -> ReplayResult:
     operands translated back to the program qubits occupying them at that
     point.  SWAPs present in the source program are kept as real gates.
     """
-    placement = _Placement(init)
+    mapping = init.copy()
     n = init.num_logical
     logical: list[Gate] = []
     violations: list[str] = []
@@ -153,14 +153,14 @@ def replay_schedule(items: list[ScheduledGate], init: Mapping) -> ReplayResult:
             if item.gate.kind is not GateKind.SWAP:
                 violations.append(f"inserted non-SWAP gate {item.gate}")
                 continue
-            placement.swap(*item.gate.qubits)
+            mapping.swap(*item.gate.qubits)
             continue
-        operands = tuple(placement.inv[q] for q in item.gate.qubits)
+        operands = tuple(mapping.inv[q] for q in item.gate.qubits)
         if any(o >= n for o in operands):
             violations.append(f"{item.gate} acts on an unoccupied physical qubit")
             continue
         logical.append(item.gate.with_qubits(operands))
-    return ReplayResult(logical, placement.mapping(), violations)
+    return ReplayResult(logical, mapping, violations)
 
 
 # --- dependency check -----------------------------------------------------

@@ -254,7 +254,7 @@ def swap_scores_reference(cf_gates, mapping, locks: list[int], t: int,
     """Every candidate SWAP with its score over the whole front."""
     from codar_router.router import heuristic_priority
 
-    return {edge: heuristic_priority(edge, cf_gates, mapping, arch.distances)
+    return {edge: heuristic_priority(edge, cf_gates, mapping.fwd, arch.distances)
             for edge in candidate_swaps_reference(cf_gates, mapping, locks, t, arch)}
 
 

@@ -16,13 +16,13 @@ from codar_router import (
     RouterConfig,
     all_pairs_distances,
     cf_front,
-    heuristic_priority,
     no_predecessor_front,
     parse_program,
     preset_architecture,
     route,
 )
 from codar_router.arch import Architecture, CouplingGraph, DEFAULT_DURATIONS, grid_architecture
+from codar_router.router import heuristic_priority
 from codar_router.cli import bench_corpus
 from codar_router.verify import statevector_oracle, verify_equivalence
 
@@ -68,7 +68,7 @@ def test_criterion_2_six_qubit_walkthrough(demo6, walkthrough_fixture):
     assert set(swaps[0].gate.qubits) == {1, 3}
     assert swaps[0].end == 7  # both operand locks released at cycle 7
     score = heuristic_priority((3, 5), [Gate(GateKind.CX, (0, 3))],
-                               Mapping.identity(6, 6), demo6.distances)
+                               Mapping.identity(6, 6).fwd, demo6.distances)
     assert score < 0
     report(2, f"six-qubit walkthrough exact (SWAP(3,1)@1, locks 7, H(3,5)={score})")
 

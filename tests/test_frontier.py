@@ -23,7 +23,7 @@ from codar_router import (
     route,
 )
 from codar_router.commutation import LaneFrontier
-from codar_router.router import _Placement, _SwapSearch
+from codar_router.router import _SwapSearch
 from codar_router.verify import _is_commuting_reordering, dependency_equivalence, replay_schedule
 
 from oracles import (
@@ -218,7 +218,7 @@ def test_swap_search_state_matches_search_from_scratch():
         num_physical = arch.num_qubits
         # Few logical qubits crowd the front onto the same pairs and tie scores.
         n = rng.choice((3, 6, 12, num_physical))
-        placement = _Placement(Mapping(rng.sample(range(num_physical), n), num_physical))
+        placement = Mapping(rng.sample(range(num_physical), n), num_physical)
         gates = [Gate(rng.choice((GateKind.CX, GateKind.CX, GateKind.SWAP)),
                       tuple(rng.sample(range(n), 2))) if rng.random() < 0.85
                  else Gate(GateKind.H, (rng.randrange(n),)) for _ in range(40)]
@@ -243,7 +243,6 @@ def test_swap_search_state_matches_search_from_scratch():
             locks = [rng.choice((0, t, t + 1, t + 6)) if rng.random() < 0.4 else 0
                      for _ in range(num_physical)]
 
-            mapping = Mapping(placement.fwd, num_physical)
             cf_gates = [gates[seq] for seq in sorted(front)]
             blocked = [seq for seq in sorted(front)
                        if gates[seq].kind is not GateKind.H
@@ -252,8 +251,9 @@ def test_swap_search_state_matches_search_from_scratch():
             assert set(search.endpoints) == {placement.fwd[q] for seq in blocked
                                              for q in gates[seq].qubits}
             assert min(search.blocked, default=None) == (blocked[0] if blocked else None)
-            assert search.best(locks, t) == best_swap_reference(cf_gates, mapping, locks, t, arch)
+            assert search.best(locks, t) == best_swap_reference(cf_gates, placement, locks, t,
+                                                                arch)
 
-            scores = list(swap_scores_reference(cf_gates, mapping, locks, t, arch).values())
+            scores = list(swap_scores_reference(cf_gates, placement, locks, t, arch).values())
             ties += max(scores, default=0) > 0 and scores.count(max(scores)) > 1
     assert ties > 0

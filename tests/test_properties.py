@@ -116,13 +116,12 @@ def test_dependency_timing(seed):
     # Non-commuting gates on a shared program qubit must not overlap in time,
     # no matter how SWAPs relocate that qubit between them.
     from codar_router.commutation import commutes
-    from codar_router.router import _Placement
 
     rng = random.Random(seed)
     arch = make_arch(connected_graph(rng, max_nodes=8))
     circ = random_circuit(rng, rng.randint(1, arch.num_qubits))
     schedule = route(circ, arch).schedule
-    placement = _Placement(schedule.initial_mapping)
+    placement = schedule.initial_mapping.copy()
     timed = []
     for item in schedule.items:
         if item.inserted:
@@ -156,7 +155,7 @@ def test_initial_mapping_policies_stay_injective(seed):
     from codar_router import initial_mapping
     for policy in ("identity", "reverse_pass"):
         m = initial_mapping(circ, arch, policy)
-        m.check()
+        Mapping(m.forward, m.num_physical)  # raises unless injective and on the device
         assert m.num_logical == circ.num_qubits
 
 

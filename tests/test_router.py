@@ -10,18 +10,16 @@ from codar_router import (
     Gate,
     GateKind,
     Mapping,
-    Router,
     RouterConfig,
     TooManyQubitsError,
     grid_architecture,
-    heuristic_priority,
     initial_mapping,
-    launch,
     rescore_true_durations,
     route,
     weighted_depth,
 )
-from codar_router.router import LockViolationError, candidate_swaps
+from codar_router.router import (LockViolationError, RouterError, candidate_swaps,
+                                 heuristic_priority, launch)
 from codar_router.verify import replay_schedule
 
 
@@ -57,8 +55,8 @@ def test_walkthrough_six_qubit(demo6, walkthrough_fixture):
 def test_walkthrough_negative_candidate(demo6):
     blocked = [Gate(GateKind.CX, (0, 3))]
     mapping = Mapping.identity(6, 6)
-    assert heuristic_priority((3, 5), blocked, mapping, demo6.distances) < 0
-    assert heuristic_priority((1, 3), blocked, mapping, demo6.distances) == 1
+    assert heuristic_priority((3, 5), blocked, mapping.fwd, demo6.distances) < 0
+    assert heuristic_priority((1, 3), blocked, mapping.fwd, demo6.distances) == 1
 
 
 def test_context_swap_avoids_busy_qubit(square4, context_fixture):
@@ -120,12 +118,13 @@ def test_candidate_swaps_no_blocked_gates(square4):
 def test_heuristic_square4_positive(square4):
     blocked = [Gate(GateKind.CX, (0, 3))]
     mapping = Mapping.identity(4, 4)
-    assert heuristic_priority((1, 3), blocked, mapping, square4.distances) == 1
+    assert heuristic_priority((1, 3), blocked, mapping.fwd, square4.distances) == 1
 
 
 def test_heuristic_no_two_qubit_gates(square4):
     mapping = Mapping.identity(4, 4)
-    assert heuristic_priority((1, 3), [Gate(GateKind.T, (0,))], mapping, square4.distances) == 0
+    assert heuristic_priority((1, 3), [Gate(GateKind.T, (0,))], mapping.fwd,
+                              square4.distances) == 0
 
 
 def test_identity_initial_mapping(square4):
@@ -137,6 +136,11 @@ def test_initial_mapping_empty_circuit_is_identity(square4):
     assert initial_mapping(Circuit(4), square4, "reverse_pass").forward == [0, 1, 2, 3]
 
 
+def test_initial_mapping_rejects_unknown_policy_on_empty_circuit(square4):
+    with pytest.raises(RouterError, match="unknown initial mapping policy 'bogus'"):
+        initial_mapping(Circuit(4), square4, "bogus")
+
+
 def test_reverse_pass_brings_interaction_adjacent(square4):
     circ = Circuit(4).t(1).cx(0, 3)
     m = initial_mapping(circ, square4, "reverse_pass")
@@ -146,6 +150,36 @@ def test_reverse_pass_brings_interaction_adjacent(square4):
 def test_too_many_qubits(square4):
     with pytest.raises(TooManyQubitsError):
         route(Circuit(6).cx(0, 5), square4)
+    with pytest.raises(TooManyQubitsError):
+        initial_mapping(Circuit(6).cx(0, 5), square4, "reverse_pass")
+
+
+@pytest.mark.parametrize("forward, num_physical, message", [
+    ([1, 1], 4, "mapping is not injective"),
+    ([0, 4], 4, "mapping targets a qubit outside the device"),
+    ([0, 1, 2], 4, "initial mapping does not match circuit/architecture sizes"),
+    ([0, 1], 5, "initial mapping does not match circuit/architecture sizes"),
+])
+def test_route_rejects_bad_initial_mapping(square4, forward, num_physical, message):
+    with pytest.raises(RouterError, match=message):
+        route(Circuit(2).cx(0, 1), square4, Mapping(forward, num_physical))
+
+
+def test_mapping_swap_updates_both_directions_and_ignores_ancillas():
+    mapping = Mapping([2, 0], 5)  # physical 1, 3 and 4 hold no program qubit
+    before = mapping.copy()
+    assert mapping.inverse() == [1, -1, 0, -1, -1]
+    fwd = list(mapping.fwd)
+    mapping.swap(3, 4)
+    assert mapping.fwd != fwd  # the two ancillas traded places ...
+    assert mapping == before  # ... which carries no program state
+    mapping.swap(0, 1)  # program qubit 1 onto an unoccupied qubit
+    assert mapping.forward == [2, 1] and mapping.inverse() == [-1, 1, 0, -1, -1]
+    assert mapping != before
+    mapping.swap(0, 1)
+    assert mapping == before and mapping.inverse() == [1, -1, 0, -1, -1]
+    for phys, logical in enumerate(mapping.inv):
+        assert mapping.fwd[logical] == phys
 
 
 def test_commutativity_ablation_changes_front(square4):
@@ -286,12 +320,6 @@ def test_with_qubits_keeps_every_other_field():
 def test_stall_limit_validation():
     with pytest.raises(Exception):
         RouterConfig(stall_limit=0)
-
-
-def test_router_class_wrapper(square4, golden_fixture):
-    router = Router(square4)
-    result = router.run(golden_fixture)
-    assert result.schedule.weighted_depth == 9
 
 
 def test_lock_exclusivity_and_coupling(square4, corpus_dir):
