@@ -27,7 +27,6 @@ from .qasm import QasmError, emit_program, parse_program, validate
 from .router import (
     RouterConfig,
     RoutingResult,
-    TooManyQubitsError,
     initial_mapping,
     rescore_true_durations,
     route,
@@ -160,13 +159,9 @@ def bench_corpus(corpus_dir: Path, archs: list[Architecture],
                     "reason": f"needs {circuit.num_qubits} qubits, device has {arch.num_qubits}",
                 })
                 continue
-            try:
-                init = initial_mapping(circuit, arch, init_policy, full_cfg)
-                full = route(circuit, arch, init, full_cfg)
-                ablated = route(circuit, arch, init, ablated_cfg)
-            except TooManyQubitsError as exc:
-                skipped.append({"circuit": name, "arch": arch.name, "reason": str(exc)})
-                continue
+            init = initial_mapping(circuit, arch, init_policy, full_cfg)
+            full = route(circuit, arch, init, full_cfg)
+            ablated = route(circuit, arch, init, ablated_cfg)
             # Depth of the produced circuit: its gate order replayed ASAP under
             # device durations.  Same metric on both sides; the ablated router
             # scheduled with unit locks, so its own depth is not comparable.

@@ -210,13 +210,6 @@ def _is_coupling_gate(gate: Gate) -> bool:
     return gate.kind in TWO_QUBIT_KINDS
 
 
-def _compliant(gate: Gate, fwd: list[int], arch: Architecture) -> bool:
-    if not _is_coupling_gate(gate):
-        return True
-    a, b = gate.qubits
-    return arch.distance(fwd[a], fwd[b]) == 1
-
-
 def launch(pgate: Gate, t: int, locks: list[int], schedule: list[ScheduledGate],
            arch: Architecture, duration_aware: bool = True,
            inserted: bool = False) -> ScheduledGate:
@@ -404,9 +397,6 @@ class _Router:
             return cf_front(gates, self.config.table, lane=qubit)
         return no_predecessor_front(gates)
 
-    def _free(self, q: int) -> bool:
-        return self.locks[q] <= self.t
-
     # launch phase --------------------------------------------------------
     def _launch_ready(self) -> bool:
         launched = False
@@ -424,8 +414,6 @@ class _Router:
                 pgate = gate.with_qubits(tuple(fwd[q] for q in gate.qubits))
                 launch(pgate, t, locks, self.items, self.arch, self.config.duration_aware)
                 taken.append(seq)
-                if self.forced_seq == seq:
-                    self.forced_seq = None
             if not taken:
                 return launched
             launched = True
@@ -447,29 +435,18 @@ class _Router:
         self.n_swaps += 1
 
     def _forced_swap(self) -> bool:
-        """Route the oldest blocked gate one hop closer, ignoring the aggregate."""
-        target = self.pending.get(self.forced_seq)
-        if target is None or _compliant(target, self.placement.fwd, self.arch):
+        """The SWAP search restricted to the forced gate, as ``_SwapSearch.best`` picks."""
+        if self.forced_seq not in self.search.blocked:
             return False
+        gate = self.pending[self.forced_seq]
         fwd = self.placement.fwd
-        pa, pb = fwd[target.qubits[0]], fwd[target.qubits[1]]
-        dist = self.arch.distances
         best = None
-        best_gain = 0
-        for p in (pa, pb):
-            if not self._free(p):
-                continue
-            for m in self.arch.graph.neighbors(p):
-                if not self._free(m):
-                    continue
-                na = m if pa == p else pa
-                nb = m if pb == p else pb
-                gain = dist[pa][pb] - dist[na][nb]
-                if gain <= 0:
-                    continue
-                edge = (min(p, m), max(p, m))
-                if gain > best_gain or (gain == best_gain and edge < best):
-                    best, best_gain = edge, gain
+        best_score = 0
+        for edge in candidate_swaps([fwd[q] for q in gate.qubits], self.locks, self.t,
+                                    self.arch):
+            score = heuristic_priority(edge, (gate,), fwd, self.arch.distances)
+            if score > best_score:
+                best, best_score = edge, score
         if best is None:
             return False
         self._launch_swap(best)

@@ -195,3 +195,16 @@ def test_route_verification_failure_exits_two(golden_file, monkeypatch, capsys):
                  "--output", str(golden_file.with_suffix(".out"))])
     assert code == 2
     assert "injected failure" in capsys.readouterr().err
+
+
+def test_bundled_corpus_matches_its_generator(corpus_dir):
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "tools" / "generate_benchmarks.py"
+    spec = importlib.util.spec_from_file_location("generate_benchmarks", path)
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    bundled = {p.name: p.read_bytes() for p in corpus_dir.iterdir() if p.is_file()}
+    assert bundled == {name: text.encode("utf-8")
+                       for name, text in generator.corpus_files().items()}

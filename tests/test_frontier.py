@@ -8,6 +8,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+import codar_router.router as router_module
 from codar_router import (
     BASELINE_TABLE,
     Circuit,
@@ -28,6 +29,7 @@ from codar_router.verify import _is_commuting_reordering, dependency_equivalence
 
 from oracles import (
     best_swap_reference,
+    candidate_swaps_reference,
     cf_front_reference,
     is_commuting_reordering_reference,
     no_predecessor_front_reference,
@@ -257,3 +259,30 @@ def test_swap_search_state_matches_search_from_scratch():
             scores = list(swap_scores_reference(cf_gates, placement, locks, t, arch).values())
             ties += max(scores, default=0) > 0 and scores.count(max(scores)) > 1
     assert ties > 0
+
+
+def test_forced_swap_matches_single_gate_search_from_scratch(monkeypatch):
+    """Every forced SWAP is the search from scratch over the forced gate alone."""
+    forced = []
+    forced_swap = router_module._Router._forced_swap
+
+    def checked_forced_swap(self):
+        target = self.pending[self.forced_seq]
+        mapping, locks, t = self.placement.copy(), list(self.locks), self.t
+        swapped = forced_swap(self)
+        chosen = self.items[-1].gate.qubits if swapped else None
+        assert chosen == best_swap_reference([target], mapping, locks, t, self.arch)
+        if swapped:
+            forced.append(len(candidate_swaps_reference([target], mapping, locks, t,
+                                                        self.arch)))
+        return swapped
+
+    monkeypatch.setattr(router_module._Router, "_forced_swap", checked_forced_swap)
+    config = RouterConfig(stall_limit=1)
+    for seed in range(6):
+        rng = random.Random(seed)
+        arch = preset_architecture("q20-tokyo") if seed % 2 else grid_architecture(6, 6)
+        circuit = Circuit(arch.num_qubits, random_gates(rng, arch.num_qubits, 120))
+        route(circuit, arch, config=config)
+    # Forced SWAPs happen, and most of them choose among several edges.
+    assert forced and sum(count > 1 for count in forced) > len(forced) // 2

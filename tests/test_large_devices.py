@@ -1,10 +1,13 @@
 """Golden routes of seeded programs on the large devices.
 
-Each route must pass the dependency check, keep every qubit's gates apart in
+Each route must pass the dependency check and the slow reference checker in
+``oracles.py``, schedule every source gate, keep every qubit's gates apart in
 time, put every two-qubit gate on a coupling edge, and reproduce the SHA-256
-of its ``Schedule.to_json()``.  The grid cases hit stall events, so they go
-through forced single-gate routing as well; one of them runs out of its SWAP
-budget and finishes in desperate mode.
+of its ``Schedule.to_json()``.  The ``grid:10x10`` route hits stall events,
+so it goes through forced single-gate routing as well.  The 200-gate routes
+stall after every blocked cycle (``stall_limit=1``) and, like the
+desperate-mode route, run out of a lowered SWAP budget and finish in
+desperate mode.
 """
 from __future__ import annotations
 
@@ -14,8 +17,11 @@ import random
 import pytest
 
 import codar_router.router as router_module
-from codar_router import Circuit, GateKind, resolve_architecture, route
-from codar_router.verify import dependency_equivalence
+from codar_router import (BASELINE_TABLE, Circuit, GateKind, RouterConfig,
+                          resolve_architecture, route)
+from codar_router.verify import dependency_equivalence, replay_schedule
+
+from oracles import is_commuting_reordering_reference
 
 ONE_QUBIT = (GateKind.H, GateKind.X, GateKind.Z, GateKind.S, GateKind.SDG,
              GateKind.T, GateKind.TDG)
@@ -37,27 +43,42 @@ def random_program(num_qubits: int, num_gates: int, rng: random.Random) -> Circu
     return circuit
 
 
-@pytest.mark.parametrize("device, seed, stalls, digest", [
-    ("q54-sycamore", 1, 0, "e68bd6abd3944087ef84e4456b906a52c7fe09d98ff91bac03720714dc143f13"),
-    ("grid:10x10", 5, 2, "7b47939ffe5192c9c14b0b5b7b0647ea3657370b84c88ed835f68f0bfa0c3475"),
-], ids=["q54-sycamore", "grid-10x10"])
-def test_large_device_golden_route(device, seed, stalls, digest):
-    arch = resolve_architecture(device)
-    circuit = random_program(arch.num_qubits, 600, random.Random(seed))
-    schedule = route(circuit, arch).schedule
-    check_golden(arch, circuit, schedule, stalls, digest)
-
-
-def test_desperate_mode_drains_the_program(monkeypatch):
+def cap_swaps(monkeypatch, cap: int) -> list:
+    """Lower the SWAP budget of every router made from here on; returns them."""
     routers = []
     init = router_module._Router.__init__
 
     def init_with_small_cap(self, *args):
         init(self, *args)
-        self.swap_cap = 200
+        self.swap_cap = cap
         routers.append(self)
 
     monkeypatch.setattr(router_module._Router, "__init__", init_with_small_cap)
+    return routers
+
+
+@pytest.mark.parametrize("device, seed, gates, config, swap_cap, stalls, digest", [
+    ("q54-sycamore", 1, 600, RouterConfig(), None, 0,
+     "e68bd6abd3944087ef84e4456b906a52c7fe09d98ff91bac03720714dc143f13"),
+    ("grid:10x10", 5, 600, RouterConfig(), None, 2,
+     "7b47939ffe5192c9c14b0b5b7b0647ea3657370b84c88ed835f68f0bfa0c3475"),
+    ("q20-tokyo", 3, 200, RouterConfig(stall_limit=1), 50, 70,
+     "52ff61d11756a704f2e4bfa3ac0fedfad6828e8c16f97b542aadf8fd259cb281"),
+    ("grid:6x6", 1, 200, RouterConfig(stall_limit=1), 50, 71,
+     "497403abe31368e7d78706124c7329165762d6e56783459b543d2c54b7f57e5e"),
+], ids=["q54-sycamore", "grid-10x10", "q20-tokyo-stall-1", "grid-6x6-stall-1"])
+def test_large_device_golden_route(monkeypatch, device, seed, gates, config, swap_cap,
+                                   stalls, digest):
+    if swap_cap is not None:
+        cap_swaps(monkeypatch, swap_cap)
+    arch = resolve_architecture(device)
+    circuit = random_program(arch.num_qubits, gates, random.Random(seed))
+    schedule = route(circuit, arch, config=config).schedule
+    check_golden(arch, circuit, schedule, stalls, digest)
+
+
+def test_desperate_mode_drains_the_program(monkeypatch):
+    routers = cap_swaps(monkeypatch, 200)
     arch = resolve_architecture("grid:10x10")
     circuit = random_program(arch.num_qubits, 300, random.Random(2))
     schedule = route(circuit, arch).schedule
@@ -65,7 +86,6 @@ def test_desperate_mode_drains_the_program(monkeypatch):
     (router,) = routers
     assert router.desperate and router.n_swaps > router.swap_cap
     assert not router.pending
-    assert sum(not item.inserted for item in schedule.items) == len(circuit.gates)
     # Desperate mode forces the oldest blocked gate whenever none is forced,
     # one stall event each time.
     check_golden(arch, circuit, schedule, 100,
@@ -75,6 +95,11 @@ def test_desperate_mode_drains_the_program(monkeypatch):
 def check_golden(arch, circuit, schedule, stalls, digest):
     report = dependency_equivalence(circuit, schedule)
     assert report.dependency_ok, report.details
+    # Nothing is left pending, and the order holds by a checker that shares
+    # no frontier code with the router.
+    assert sum(not item.inserted for item in schedule.items) == len(circuit.gates)
+    replayed = replay_schedule(schedule.items, schedule.initial_mapping).logical_gates
+    assert is_commuting_reordering_reference(circuit.gates, replayed, BASELINE_TABLE)
     busy: dict[int, list[tuple[int, int]]] = {}
     for item in schedule.items:
         if item.gate.kind in (GateKind.CX, GateKind.SWAP):

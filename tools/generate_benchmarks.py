@@ -138,9 +138,9 @@ def random_mixed(n: int, n_gates: int, seed: int) -> str:
     return program(n, lines)
 
 
-def main() -> None:
-    OUT.mkdir(parents=True, exist_ok=True)
-    files = {
+def corpus_files() -> dict[str, str]:
+    """File name to text of every program in the bundled corpus."""
+    return {
         "qft_4.qasm": qft(4),
         "qft_8.qasm": qft(8),
         "ghz_4.qasm": ghz(4),
@@ -154,7 +154,11 @@ def main() -> None:
         "random_cx_16.qasm": random_cx(16, 120, 80163),
         "random_mixed_6.qasm": random_mixed(6, 50, 80064),
     }
-    for name, text in files.items():
+
+
+def main() -> None:
+    OUT.mkdir(parents=True, exist_ok=True)
+    for name, text in corpus_files().items():
         (OUT / name).write_text(text, encoding="utf-8")
         print(f"wrote {name} ({len(text.splitlines())} lines)")
 
