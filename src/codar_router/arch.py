@@ -179,23 +179,41 @@ def load_architecture(config: dict) -> Architecture:
     Expected fields: ``name``, ``num_qubits``, ``edges`` (pair list) and
     ``durations`` (gate-kind name to cycle count).  The duration table is
     taken as given, so a config that omits SWAP fails here rather than at
-    routing time.
+    routing time.  A document of the wrong shape raises
+    :class:`ArchitectureError` too.
     """
+    if not isinstance(config, dict):
+        raise ArchitectureError(f"config must be a JSON object, got {type(config).__name__}")
     try:
         num_qubits = int(config["num_qubits"])
         edges = config["edges"]
     except KeyError as exc:
         raise ArchitectureError(f"config missing field {exc.args[0]!r}") from None
+    except (TypeError, ValueError):
+        raise ArchitectureError(
+            f"num_qubits must be an integer, got {config['num_qubits']!r}") from None
     if num_qubits < 1:
         raise ArchitectureError("num_qubits must be >= 1")
+    if not isinstance(edges, (list, tuple)):
+        raise ArchitectureError(f"edges must be a list of qubit pairs, got {edges!r}")
+    for edge in edges:
+        if not (isinstance(edge, (list, tuple)) and len(edge) == 2
+                and all(type(q) is int for q in edge)):
+            raise ArchitectureError(f"coupling edge {edge!r} is not a pair of qubit indices")
+    given = config.get("durations", {})
+    if not isinstance(given, dict):
+        raise ArchitectureError(f"durations must map gate kinds to cycles, got {given!r}")
     durations: dict[GateKind, int] = {}
-    for key, value in dict(config.get("durations", {})).items():
+    for key, value in given.items():
         try:
             kind = GateKind(key.lower())
         except ValueError:
             raise ArchitectureError(f"unknown gate kind {key!r} in durations") from None
         durations[kind] = value
-    extra = tuple(tuple(str(x) for x in row) for row in config.get("commutation_extra", ()))
+    rows = config.get("commutation_extra", ())
+    if not (isinstance(rows, (list, tuple)) and all(isinstance(r, (list, tuple)) for r in rows)):
+        raise ArchitectureError(f"commutation_extra must be a list of rows, got {rows!r}")
+    extra = tuple(tuple(str(x) for x in row) for row in rows)
     if extra:
         from .commutation import BASELINE_TABLE
         try:

@@ -22,8 +22,10 @@ ROLE_TARGET = "cx_target"
 
 Entry = tuple[GateKind, str]
 
-_NO_ENTRIES: frozenset[Entry] = frozenset()
 _NO_GATES: frozenset[int] = frozenset()
+# Stands for two or more signatures among the marks of one entry on a qubit;
+# it equals no signature.
+_SEVERAL = object()
 
 
 def role_of(gate: Gate, position: int) -> str:
@@ -31,6 +33,16 @@ def role_of(gate: Gate, position: int) -> str:
     if gate.kind is GateKind.CX:
         return ROLE_CONTROL if position == 0 else ROLE_TARGET
     return ROLE_SINGLE
+
+
+# Every (kind, role) entry a gate can have, numbered once: entry i is bit
+# 1 << i, so a set of entries is an int and a table's adjacency is one mask
+# per entry.
+_ENTRY_BITS: dict[Entry, int] = {
+    entry: 1 << i for i, entry in enumerate(
+        (kind, role) for kind in GateKind
+        for role in ((ROLE_CONTROL, ROLE_TARGET) if kind is GateKind.CX else (ROLE_SINGLE,)))}
+_UNITARY_ENTRIES = sum(bit for (kind, _), bit in _ENTRY_BITS.items() if kind.is_unitary)
 
 
 # Operations diagonal in the computational basis commute with each other on a
@@ -72,8 +84,18 @@ class CommutationTable:
             object.__setattr__(self, "_adj", cached)
         return cached
 
+    def _friend_masks(self) -> dict[int, int]:
+        """Entry bit to the mask of the entries it commutes with, for every entry."""
+        cached = getattr(self, "_masks", None)
+        if cached is None:
+            adj = self._adjacency()
+            cached = {bit: sum(_ENTRY_BITS.get(f, 0) for f in adj.get(entry, ()))
+                      for entry, bit in _ENTRY_BITS.items()}
+            object.__setattr__(self, "_masks", cached)
+        return cached
+
     def allows(self, a: Entry, b: Entry) -> bool:
-        return b in self._adjacency().get(a, _NO_ENTRIES)
+        return b in self._adjacency().get(a, ())
 
     def entries(self) -> list[tuple[Entry, Entry]]:
         out = []
@@ -141,78 +163,79 @@ def commutes(a: Gate, b: Gate, table: CommutationTable = BASELINE_TABLE) -> bool
     return True
 
 
+def _lane_record(gate: Gate, table: CommutationTable) -> tuple:
+    """``(table, signature, is_unitary, ((qubit, entry_bit, friend_mask), ...))``.
+
+    What :func:`cf_front` needs of a gate, one triple per operand.  Cached on
+    the gate, like its signature, for the table it was built for: a routing
+    pass, its reverse pass and the dependency check all scan the same gates.
+    """
+    masks = table._friend_masks()
+    entries = []
+    for pos, q in enumerate(gate.qubits):
+        bit = _ENTRY_BITS[(gate.kind, role_of(gate, pos))]
+        entries.append((q, bit, masks[bit]))
+    record = (table, gate.signature(), gate.kind.is_unitary, tuple(entries))
+    object.__setattr__(gate, "_lane_record", record)
+    return record
+
+
 def cf_front(gates, table: CommutationTable = BASELINE_TABLE, *,
              lane: int | None = None) -> set[int]:
     """Indices of gates commuting with everything before them in the list.
 
-    One linear pass: each qubit accumulates the (kind, role, signature) marks
-    of the gates seen so far, grouped by (kind, role) entry, and a gate is CF
-    exactly when every mark on each of its qubits is table-commuting with (or
-    identical to) it.
+    One linear pass over the gates' cached lane records (see
+    :func:`_lane_record`).  Each qubit keeps ``present``, the int mask of the
+    table entries of the gates seen so far on it, and per entry the signature
+    those marks share (or ``_SEVERAL``).  A gate passes a qubit when
+    ``present & ~friends`` is 0 for its entry's friend mask there, or when
+    that value is its own entry bit, it is unitary and every mark of its
+    entry is this very operation: equal signatures mean the same entry on a
+    shared qubit, so this is the table rule exactly.  A gate is CF when it
+    passes all its qubits.
 
     ``lane`` names a qubit that every gate of the list touches, as in the
     lanes of a :class:`LaneFrontier`.  The pass then stops as soon as the
-    marks on that qubit admit no further gate, since no later gate can be CF.
+    marks on that qubit admit no further gate, since no later gate can be CF:
+    no entry is friendly to every mark, and no repeat of a mark can pass.
     """
-    adjacency = table._adjacency()
     front: set[int] = set()
-    marks: dict[int, dict[Entry, set[tuple]]] = {}
-    # Entries friendly to every mark on the lane qubit; None before the first.
-    open_entries: frozenset[Entry] | None = None
+    present: dict[int, int] = {}
+    # Per qubit and entry bit: the one signature of those marks, or _SEVERAL.
+    marks: dict[int, dict[int, object]] = {}
+    # Entries friendly to every mark on the lane qubit; all of them before the first.
+    open_entries = -1
     for k, gate in enumerate(gates):
-        sig = gate.signature()
-        unitary = gate.kind.is_unitary
-        entries = [(gate.kind, role_of(gate, pos)) for pos in range(len(gate.qubits))]
-        ok = True
-        # BARRIER and MEASURE need no special casing: they have no table
-        # entries and are non-unitary, so any shared-qubit mark blocks them
-        # and their marks block everyone.
-        for q, entry in zip(gate.qubits, entries):
-            qmarks = marks.get(q)
-            if not qmarks:
-                continue
-            friends = adjacency.get(entry, _NO_ENTRIES)
-            for mark_entry, mark_sigs in qmarks.items():
-                if mark_entry in friends:
-                    continue
-                if unitary and len(mark_sigs) == 1 and sig in mark_sigs:
-                    continue
-                ok = False
+        record = getattr(gate, "_lane_record", None)
+        if record is None or record[0] is not table:
+            record = _lane_record(gate, table)
+        _, sig, unitary, entries = record
+        # BARRIER and MEASURE need no special casing: they have no friends
+        # and are non-unitary, so any shared-qubit mark blocks them and their
+        # marks block everyone.
+        for q, bit, friends in entries:
+            blocking = present.get(q, 0) & ~friends
+            if blocking and not (blocking == bit and unitary and marks[q][bit] == sig):
                 break
-            if not ok:
-                break
-        if ok:
+        else:
             front.add(k)
-        for q, entry in zip(gate.qubits, entries):
-            qmarks = marks.setdefault(q, {})
-            qmarks.setdefault(entry, set()).add(sig)
+        for q, bit, friends in entries:
+            qpresent = present[q] = present.get(q, 0) | bit
+            qmarks = marks.get(q)
+            if qmarks is None:
+                qmarks = marks[q] = {bit: sig}
+            elif qmarks.setdefault(bit, sig) != sig:
+                qmarks[bit] = _SEVERAL
             if q == lane:
-                friends = adjacency.get(entry, _NO_ENTRIES)
-                open_entries = friends if open_entries is None else open_entries & friends
-                if not open_entries and not _admits_a_repeat(qmarks, adjacency):
-                    return front
+                open_entries &= friends
+                if not open_entries:
+                    # Some repeat may still pass: a unitary mark whose entry
+                    # is the only one unfriendly to it, with one signature.
+                    masks = table._friend_masks()
+                    if not any(mark & _UNITARY_ENTRIES and qpresent & ~masks[mark] == mark
+                               and only is not _SEVERAL for mark, only in qmarks.items()):
+                        return front
     return front
-
-
-def _admits_a_repeat(qmarks: dict[Entry, set[tuple]],
-                     adjacency: dict[Entry, frozenset[Entry]]) -> bool:
-    """Can a gate identical to one of a qubit's marks still pass that qubit?
-
-    ``qmarks`` maps each mark entry to its signatures.  A repeat of signature
-    ``s`` with entry ``e`` passes when every mark whose entry is not friendly
-    to ``e`` has signature ``s``, and ``e`` is of a unitary kind.  Any gate
-    that passes the qubit has an entry friendly to every mark or is such a
-    repeat, so the early exit in :func:`cf_front` is exact for any table.
-    """
-    for entry, sigs in qmarks.items():
-        if not entry[0].is_unitary:
-            continue
-        friends = adjacency.get(entry, _NO_ENTRIES)
-        blocking = set().union(*(other_sigs for other, other_sigs in qmarks.items()
-                                 if other not in friends))
-        if len(blocking) == 1 and blocking <= sigs:
-            return True
-    return False
 
 
 def no_predecessor_front(gates) -> set[int]:

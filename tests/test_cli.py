@@ -83,6 +83,37 @@ def test_route_unknown_arch_exits_one(golden_file, capsys):
     assert code == 1
 
 
+SQUARE2 = {"num_qubits": 2, "edges": [[0, 1]], "durations": {"cx": 2, "swap": 6}}
+
+
+@pytest.mark.parametrize("config", [
+    dict(SQUARE2, num_qubits="four"),
+    dict(SQUARE2, edges=[[0]]),
+    [SQUARE2],
+    dict(SQUARE2, edges=[["a", 1]]),
+    dict(SQUARE2, durations=[6]),
+    dict(SQUARE2, commutation_extra=[5]),
+], ids=["num-qubits-text", "one-ended-edge", "top-level-list", "text-qubit",
+        "durations-list", "extra-row-int"])
+def test_route_malformed_arch_config_exits_one_without_traceback(config, golden_file, tmp_path):
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import codar_router
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    src = Path(codar_router.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "codar_router.cli", "route", "--arch", str(path),
+         "--input", str(golden_file)],
+        capture_output=True, text=True, env={"PYTHONPATH": str(src)}, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
 def test_route_stdout_and_flags(golden_file, capsys):
     code = main(["route", "--arch", "square4", "--input", str(golden_file),
                  "--decompose-swap", "--no-duration-aware", "--init", "reverse"])

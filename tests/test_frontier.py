@@ -134,6 +134,31 @@ def test_cf_front_stops_only_when_the_lane_qubit_is_closed():
     assert cf_front([h, u3, other, x, h], MUTUAL, lane=0) == {0, 1}
 
 
+def test_cf_front_reads_a_lane_only_up_to_where_it_closes():
+    def gates_read(gates, table=BASELINE_TABLE) -> int:
+        read = []
+
+        def lane():
+            for gate in gates:
+                read.append(gate)
+                yield gate
+
+        cf_front(lane(), table, lane=0)
+        return len(read)
+
+    h, x, t = Gate(GateKind.H, (0,)), Gate(GateKind.X, (0,)), Gate(GateKind.T, (0,))
+    # An H mark leaves room for repeats of it; an X after it closes the qubit.
+    assert gates_read([h, h, x, t, t]) == 3
+    # Diagonal marks keep the qubit open to the end.
+    assert gates_read([t, Gate(GateKind.CX, (0, 1)), Gate(GateKind.U1, (0,), (0.3,)), t]) == 4
+    # A measure admits no repeat; two U3 angles leave no single repeat.
+    measure = Gate(GateKind.MEASURE, (0,), cbit=0)
+    assert gates_read([measure, measure, t]) == 1
+    u3, other = (Gate(GateKind.U3, (0,), angles) for angles in U3_ANGLES)
+    assert gates_read([u3, u3, other, u3]) == 3
+    assert gates_read([h, u3, other, x, h], MUTUAL) == 4
+
+
 def test_repeat_passes_only_past_marks_of_its_own_signature():
     # Same entry, another signature: the repeat is blocked by the middle gate.
     u3, other = (Gate(GateKind.U3, (0,), angles) for angles in U3_ANGLES)

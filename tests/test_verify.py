@@ -200,3 +200,69 @@ def test_verify_equivalence_oracle_modes(corpus_dir):
     assert any("oracle skipped" in d for d in report.details)
     with pytest.raises(OracleLimitError):
         verify_equivalence(big, result.schedule, oracle="on")
+
+
+# --- dependency check against the oracle on corrupted schedules -------------
+
+def corrupted_schedules(schedule: Schedule, num_logical: int, rng, per_kind: int = 3):
+    """Up to ``per_kind`` corruptions of each kind, as (kind, schedule) pairs.
+
+    ``exchange`` swaps two adjacent items whose gates the table cannot prove
+    commuting, ``drop-swap`` deletes an inserted SWAP, and ``retarget`` moves
+    one operand of a program gate onto a physical qubit that holds no program
+    qubit at that point.
+    """
+    from dataclasses import replace
+
+    from codar_router import commutes
+
+    items = schedule.items
+    found: dict[str, list[list[ScheduledGate]]] = {
+        "exchange": [], "drop-swap": [], "retarget": []}
+    mapping = schedule.initial_mapping.copy()
+    for i, item in enumerate(items):
+        if i + 1 < len(items) and not commutes(item.gate, items[i + 1].gate):
+            found["exchange"].append(items[:i] + [items[i + 1], item] + items[i + 2:])
+        if item.inserted:
+            found["drop-swap"].append(items[:i] + items[i + 1:])
+            mapping.swap(*item.gate.qubits)
+            continue
+        free = [p for p in range(mapping.num_physical) if mapping.inv[p] >= num_logical]
+        if free:
+            qubits = list(item.gate.qubits)
+            qubits[rng.randrange(len(qubits))] = rng.choice(free)
+            moved = replace(item, gate=item.gate.with_qubits(tuple(qubits)))
+            found["retarget"].append(items[:i] + [moved] + items[i + 1:])
+    for kind, variants in found.items():
+        for variant in rng.sample(variants, min(per_kind, len(variants))):
+            yield kind, replace(schedule, items=variant)
+
+
+def test_dependency_check_never_accepts_what_the_oracle_rejects(demo6):
+    # One direction only: the oracle starts from |0...0>, so it accepts some
+    # real corruptions (``x 0; z 0`` exchanged gives the same state up to
+    # phase) that the dependency check rightly rejects.
+    import random
+
+    from codar_router import grid_architecture
+
+    archs = (demo6, grid_architecture(3, 3))
+    rejected = {"exchange": 0, "drop-swap": 0, "retarget": 0}
+    checked = 0
+    for seed in range(24):
+        rng = random.Random(seed)
+        arch = archs[seed % len(archs)]
+        n = rng.randint(3, min(arch.num_qubits - 1, 7))
+        circuit = Circuit(n, [random_unitary_gate(rng, n) for _ in range(rng.randint(15, 30))])
+        schedule = route(circuit, arch).schedule
+        assert dependency_equivalence(circuit, schedule).dependency_ok
+        for kind, bad in corrupted_schedules(schedule, n, rng):
+            oracle_ok, _ = statevector_oracle(circuit, bad)
+            if not oracle_ok:
+                rejected[kind] += 1
+                assert not dependency_equivalence(circuit, bad).dependency_ok, (seed, kind)
+            checked += 1
+    # Each kind of corruption is caught by the oracle somewhere, so the
+    # implication above is tested, not vacuous.
+    assert all(rejected.values()), rejected
+    assert checked > 100
