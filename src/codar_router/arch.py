@@ -10,9 +10,11 @@ import json
 import re
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 
 from .circuit import GateKind
+from .commutation import BASELINE_TABLE, CommutationTable
 
 # Single-qubit kinds run in one cycle, two-qubit in two, and a SWAP costs as
 # much as its three-CX decomposition.  BARRIER is a pure scheduling fence.
@@ -83,19 +85,6 @@ class CouplingGraph:
     def has_edge(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in self.edges
 
-    def is_connected(self) -> bool:
-        if self.num_qubits <= 1:
-            return True
-        seen = {0}
-        queue = deque([0])
-        adj = self.adjacency()
-        while queue:
-            for m in adj[queue.popleft()]:
-                if m not in seen:
-                    seen.add(m)
-                    queue.append(m)
-        return len(seen) == self.num_qubits
-
 
 def all_pairs_distances(graph: CouplingGraph) -> list[list[int]]:
     """BFS hop distances between every physical qubit pair.
@@ -124,9 +113,10 @@ def all_pairs_distances(graph: CouplingGraph) -> list[list[int]]:
 class Architecture:
     """Static device description shared by all routing jobs.
 
-    ``commutation_extra`` carries config-declared commutation table rows; they
-    are oracle-validated when the config is loaded and merged into the routing
-    table by the CLI.
+    ``commutation_extra`` carries config-declared commutation table rows.
+    ``table`` is the device's commutation table: the baseline plus those
+    rows, each checked against the dense-matrix oracle once, when the config
+    is loaded.
     """
 
     name: str
@@ -145,6 +135,14 @@ class Architecture:
     @property
     def diameter(self) -> int:
         return max(max(row) for row in self.distances)
+
+    @cached_property
+    def table(self) -> CommutationTable:
+        # The baseline object itself when there are no rows: gates cache
+        # their frontier records per table object.
+        if not self.commutation_extra:
+            return BASELINE_TABLE
+        return BASELINE_TABLE.with_extras(self.commutation_extra)
 
 
 def duration_of(arch: Architecture, kind: GateKind) -> int:
@@ -167,10 +165,9 @@ def _check_durations(durations: dict[GateKind, int]) -> dict[GateKind, int]:
 
 def _build(name: str, graph: CouplingGraph, durations: dict[GateKind, int],
            commutation_extra: tuple = ()) -> Architecture:
-    if not graph.is_connected():
-        raise DisconnectedGraphError(f"architecture {name!r} has an unreachable qubit")
-    return Architecture(name, graph, _check_durations(durations),
-                        all_pairs_distances(graph), commutation_extra)
+    distances = all_pairs_distances(graph)
+    return Architecture(name, graph, _check_durations(durations), distances,
+                        commutation_extra)
 
 
 def load_architecture(config: dict) -> Architecture:
@@ -179,8 +176,9 @@ def load_architecture(config: dict) -> Architecture:
     Expected fields: ``name``, ``num_qubits``, ``edges`` (pair list) and
     ``durations`` (gate-kind name to cycle count).  The duration table is
     taken as given, so a config that omits SWAP fails here rather than at
-    routing time.  A document of the wrong shape raises
-    :class:`ArchitectureError` too.
+    routing time, as does a ``commutation_extra`` row that fails the
+    commutator check of :attr:`Architecture.table`.  A document of the wrong
+    shape raises :class:`ArchitectureError` too.
     """
     if not isinstance(config, dict):
         raise ArchitectureError(f"config must be a JSON object, got {type(config).__name__}")
@@ -214,14 +212,13 @@ def load_architecture(config: dict) -> Architecture:
     if not (isinstance(rows, (list, tuple)) and all(isinstance(r, (list, tuple)) for r in rows)):
         raise ArchitectureError(f"commutation_extra must be a list of rows, got {rows!r}")
     extra = tuple(tuple(str(x) for x in row) for row in rows)
-    if extra:
-        from .commutation import BASELINE_TABLE
-        try:
-            BASELINE_TABLE.with_extras(extra)
-        except ValueError as exc:
-            raise ArchitectureError(str(exc)) from None
     graph = CouplingGraph.from_edges(num_qubits, edges)
-    return _build(str(config.get("name", "custom")), graph, durations, extra)
+    arch = _build(str(config.get("name", "custom")), graph, durations, extra)
+    try:
+        arch.table
+    except ValueError as exc:
+        raise ArchitectureError(str(exc)) from None
+    return arch
 
 
 def load_architecture_file(path) -> Architecture:

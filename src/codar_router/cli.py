@@ -22,7 +22,6 @@ from pathlib import Path
 from . import __version__
 from .arch import Architecture, ArchitectureError, resolve_architecture
 from .circuit import Circuit
-from .commutation import BASELINE_TABLE, CommutationTable
 from .qasm import QasmError, emit_program, parse_program, validate
 from .router import (
     RouterConfig,
@@ -32,12 +31,6 @@ from .router import (
     route,
 )
 from .verify import verify_equivalence
-
-def table_for(arch: Architecture) -> CommutationTable:
-    """Baseline table plus any config-declared rows (validated at arch load)."""
-    if not arch.commutation_extra:
-        return BASELINE_TABLE
-    return BASELINE_TABLE.with_extras(arch.commutation_extra, validate=False)
 
 
 def _policy_dict(cfg: RouterConfig, init_policy: str) -> dict:
@@ -102,11 +95,15 @@ def run_route(args) -> int:
 
     cfg = RouterConfig(duration_aware=not args.no_duration_aware,
                        commutativity_on=not args.no_commutativity,
-                       table=table_for(arch))
+                       table=arch.table)
     init_policy = "reverse_pass" if args.init == "reverse" else "identity"
     start = time.perf_counter()
-    init = initial_mapping(circuit, arch, init_policy, cfg)
-    result = route(circuit, arch, init, cfg)
+    try:
+        init = initial_mapping(circuit, arch, init_policy, cfg)
+        result = route(circuit, arch, init, cfg)
+    except ArchitectureError as exc:
+        print(f"error: {path}: {exc}", file=sys.stderr)
+        return 1
     wall_ms = (time.perf_counter() - start) * 1000.0
     report = build_report(path.stem, arch, result, circuit, cfg, init_policy,
                           args.oracle, wall_ms)
@@ -144,7 +141,7 @@ def bench_corpus(corpus_dir: Path, archs: list[Architecture],
     errors: list[dict] = []
     files = sorted(corpus_dir.glob("*.qasm"))
     for arch in archs:
-        full_cfg = RouterConfig(table=table_for(arch))
+        full_cfg = RouterConfig(table=arch.table)
         ablated_cfg = RouterConfig(duration_aware=False, commutativity_on=False)
         for path in files:
             name = path.stem
@@ -159,9 +156,13 @@ def bench_corpus(corpus_dir: Path, archs: list[Architecture],
                     "reason": f"needs {circuit.num_qubits} qubits, device has {arch.num_qubits}",
                 })
                 continue
-            init = initial_mapping(circuit, arch, init_policy, full_cfg)
-            full = route(circuit, arch, init, full_cfg)
-            ablated = route(circuit, arch, init, ablated_cfg)
+            try:
+                init = initial_mapping(circuit, arch, init_policy, full_cfg)
+                full = route(circuit, arch, init, full_cfg)
+                ablated = route(circuit, arch, init, ablated_cfg)
+            except ArchitectureError as exc:
+                errors.append({"circuit": name, "arch": arch.name, "error": str(exc)})
+                continue
             # Depth of the produced circuit: its gate order replayed ASAP under
             # device durations.  Same metric on both sides; the ablated router
             # scheduled with unit locks, so its own depth is not comparable.

@@ -106,7 +106,7 @@ class CommutationTable:
             out.append((a, b))
         return sorted(out, key=lambda ab: (ab[0][0].value, ab[0][1], ab[1][0].value, ab[1][1]))
 
-    def with_extras(self, extras, validate: bool = True) -> CommutationTable:
+    def with_extras(self, extras) -> CommutationTable:
         """Extend with ``[[kindA, roleA, kindB, roleB], ...]`` config rows.
 
         Each added pair is checked against the dense-matrix oracle first, so a
@@ -119,7 +119,7 @@ class CommutationTable:
             b = (GateKind(str(kind_b).lower()), str(role_b))
             for entry in (a, b):
                 _check_entry_shape(entry)
-            if validate and not _entry_commutes_numerically(a, b):
+            if not _entry_commutes_numerically(a, b):
                 raise ValueError(
                     f"commutation_extra entry {row!r} fails the unitary commutator check")
             added.add(frozenset((a, b)))
@@ -322,6 +322,7 @@ class LaneFrontier:
 
 
 _ANGLE_SAMPLES = (0.37, 1.1, 2.0, 4.4)
+_COMMUTATOR_TOL = 1e-9
 
 
 def _representative_gates(entry: Entry) -> tuple[list[Gate], int]:
@@ -339,7 +340,7 @@ def _representative_gates(entry: Entry) -> tuple[list[Gate], int]:
     return gates, 1
 
 
-def _entry_commutes_numerically(a: Entry, b: Entry, tol: float = 1e-9) -> bool:
+def _entry_commutes_numerically(a: Entry, b: Entry) -> bool:
     import numpy as np
 
     from .verify import gate_unitary
@@ -354,16 +355,16 @@ def _entry_commutes_numerically(a: Entry, b: Entry, tol: float = 1e-9) -> bool:
         for gb in gates_b:
             gb_shifted = gb.with_qubits(tuple(shift[q] for q in gb.qubits))
             ub = gate_unitary(gb_shifted, n)
-            if np.linalg.norm(ua @ ub - ub @ ua) > tol:
+            if np.linalg.norm(ua @ ub - ub @ ua) > _COMMUTATOR_TOL:
                 return False
     return True
 
 
-def validate_table_numerically(table: CommutationTable = BASELINE_TABLE,
-                               tol: float = 1e-9) -> list[tuple[Entry, Entry]]:
+def validate_table_numerically(
+        table: CommutationTable = BASELINE_TABLE) -> list[tuple[Entry, Entry]]:
     """Return the table entries that FAIL the dense-matrix commutator oracle.
 
     An empty list certifies soundness of every positive entry.
     """
     return [(a, b) for a, b in table.entries()
-            if not _entry_commutes_numerically(a, b, tol)]
+            if not _entry_commutes_numerically(a, b)]

@@ -11,6 +11,7 @@ import math
 import re
 from dataclasses import dataclass
 
+from . import __version__
 from .circuit import Circuit, Gate, GateKind
 
 EMIT_HEADER = "// routed-by: codar-router {version}"
@@ -176,7 +177,6 @@ class _Parser:
         self.creg_name: str | None = None
         self.creg_size = 0
         self.gates: list[Gate] = []
-        self.saw_header = False
 
     def run(self) -> Circuit:
         while self.ts.peek() is not None:
@@ -197,7 +197,6 @@ class _Parser:
         if name == "OPENQASM":
             self.ts.next()  # version literal
             self.ts.expect(";")
-            self.saw_header = True
         elif name == "include":
             self.ts.next()  # filename string
             self.ts.expect(";")
@@ -359,20 +358,17 @@ def _format_param(value: float) -> str:
     return repr(value)
 
 
-def emit_program(circuit: Circuit, decompose_swap: bool = False,
-                 version: str | None = None) -> str:
+def emit_program(circuit: Circuit, decompose_swap: bool = False) -> str:
     """Serialize a circuit back to OpenQASM 2.0 text.
 
     With ``decompose_swap`` each SWAP becomes the standard three-CX ladder.
     Without it, ``parse_program(emit_program(c))`` is structurally equal to
     ``c``.
     """
-    if version is None:
-        from . import __version__ as version
     q = circuit.register_name
     c = circuit.creg_name
     lines = [
-        EMIT_HEADER.format(version=version),
+        EMIT_HEADER.format(version=__version__),
         "OPENQASM 2.0;",
         'include "qelib1.inc";',
         f"qreg {q}[{circuit.num_qubits}];",

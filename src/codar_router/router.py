@@ -192,12 +192,7 @@ class RouterConfig:
 
     duration_aware: bool = True
     commutativity_on: bool = True
-    stall_limit: int | None = None
     table: CommutationTable = BASELINE_TABLE
-
-    def __post_init__(self):
-        if self.stall_limit is not None and self.stall_limit < 1:
-            raise RouterError("stall_limit must be >= 1")
 
 
 @dataclass
@@ -388,6 +383,9 @@ class _Router:
         # Generous ceiling on inserted SWAPs; if the aggregate heuristic ever
         # cycles, fall back to single-gate forced routing, which always drains.
         self.swap_cap = 8 * (len(circuit.gates) + 4) * (arch.diameter + 2) + 64
+        # Blocked cycles with no launch or SWAP before the oldest blocked gate
+        # is forced: as many as one SWAP takes.
+        self.stall_limit = max(1, duration_of(arch, GateKind.SWAP))
 
     # frontier ------------------------------------------------------------
     def _lane_front(self, gates: list[Gate], qubit: int) -> set[int]:
@@ -464,14 +462,13 @@ class _Router:
 
     # main loop -----------------------------------------------------------
     def run(self) -> Schedule:
-        stall_limit = self.config.stall_limit or max(1, duration_of(self.arch, GateKind.SWAP))
         while self.pending:
             launched = self._launch_ready()
             if self.forced_seq not in self.pending:
                 self.forced_seq = None
             blocked = self.search.blocked
             if self.forced_seq is None and blocked and (
-                    self.desperate or self.stall_counter >= stall_limit):
+                    self.desperate or self.stall_counter >= self.stall_limit):
                 self.forced_seq = min(blocked)
                 self.stall_events += 1
             if self.forced_seq is not None:
@@ -490,7 +487,7 @@ class _Router:
             # the earlier of the two, counting the skipped cycles as stalled.
             events = [lock for lock in self.locks if lock > self.t]
             if self.forced_seq is None and blocked:
-                events.append(self.t + stall_limit - self.stall_counter)
+                events.append(self.t + self.stall_limit - self.stall_counter)
             resume = min(events, default=self.t + 1)
             self.stall_counter += resume - self.t
             self.t = resume

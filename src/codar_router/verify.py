@@ -19,6 +19,7 @@ from .commutation import BASELINE_TABLE, CommutationTable, LaneFrontier, cf_fron
 from .router import Mapping, Schedule, ScheduledGate
 
 ORACLE_QUBIT_LIMIT = 10
+ORACLE_TOL = 1e-9
 
 
 class OracleLimitError(ValueError):
@@ -120,12 +121,12 @@ def gate_unitary(gate: Gate, num_qubits: int) -> np.ndarray:
     return apply_gate(cols, gate).reshape(dim, dim)
 
 
-def states_close(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> tuple[bool, float]:
+def states_close(a: np.ndarray, b: np.ndarray) -> tuple[bool, float]:
     """Global-phase-insensitive comparison; returns (equal, max amplitude error)."""
     overlap = np.vdot(b, a)
     phase = overlap / abs(overlap) if abs(overlap) > 1e-15 else 1.0
     err = float(np.max(np.abs(a - phase * b))) if a.size else 0.0
-    return bool(abs(overlap) >= 1 - tol), err
+    return bool(abs(overlap) >= 1 - ORACLE_TOL), err
 
 
 # --- schedule replay ------------------------------------------------------
@@ -259,8 +260,7 @@ def _strip_terminal_measures(gates: list[Gate]) -> list[Gate]:
     return out
 
 
-def statevector_oracle(original: Circuit, schedule: Schedule, tol: float = 1e-9,
-                       qubit_limit: int = ORACLE_QUBIT_LIMIT) -> tuple[bool, float]:
+def statevector_oracle(original: Circuit, schedule: Schedule) -> tuple[bool, float]:
     """Simulate source and routed programs and compare up to global phase.
 
     The routed side is replayed in program-qubit coordinates (inserted SWAPs
@@ -270,25 +270,24 @@ def statevector_oracle(original: Circuit, schedule: Schedule, tol: float = 1e-9,
     :class:`OracleLimitError`.
     """
     n = original.num_qubits
-    if n > qubit_limit:
-        raise TooLargeForOracle(n, qubit_limit)
+    if n > ORACLE_QUBIT_LIMIT:
+        raise TooLargeForOracle(n, ORACLE_QUBIT_LIMIT)
     replay = replay_schedule(schedule.items, schedule.initial_mapping)
     if replay.violations:
         return False, float("inf")
     ref = simulate_gates(_strip_terminal_measures(list(original.gates)), n)
     got = simulate_gates(_strip_terminal_measures(replay.logical_gates), n)
-    return states_close(ref, got, tol)
+    return states_close(ref, got)
 
 
 def verify_equivalence(original: Circuit, schedule: Schedule, oracle: str = "auto",
-                       tol: float = 1e-9,
                        table: CommutationTable = BASELINE_TABLE) -> EquivalenceReport:
     """Run the dependency check plus, when feasible and wanted, the oracle."""
     report = dependency_equivalence(original, schedule, table)
     if oracle == "off":
         return report
     try:
-        ok, err = statevector_oracle(original, schedule, tol)
+        ok, err = statevector_oracle(original, schedule)
     except OracleLimitError as exc:
         if oracle == "on":
             raise

@@ -7,6 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+import codar_router.router as router_module
 from codar_router import Circuit, preset_architecture
 from codar_router.cli import bundled_corpus_dir
 
@@ -42,3 +43,32 @@ def walkthrough_fixture() -> Circuit:
 @pytest.fixture(scope="session")
 def corpus_dir() -> Path:
     return bundled_corpus_dir()
+
+
+@pytest.fixture()
+def tune_router(monkeypatch):
+    """Set values the router works out for itself, for this test only.
+
+    ``tune_router(stall_limit=1, swap_cap=50)`` overrides those attributes on
+    every router built from then on, each call replacing the last; ``None``
+    keeps the router's own value.  Returns the list of routers built.
+    """
+    overrides: dict = {}
+    routers = []
+    init = router_module._Router.__init__
+
+    def tuned_init(self, *args):
+        init(self, *args)
+        for name, value in overrides.items():
+            if not hasattr(self, name):
+                raise AttributeError(f"the router sets no {name!r}")
+            setattr(self, name, value)
+        routers.append(self)
+
+    def tune(**attrs):
+        overrides.clear()
+        overrides.update((name, value) for name, value in attrs.items() if value is not None)
+        return routers
+
+    monkeypatch.setattr(router_module._Router, "__init__", tuned_init)
+    return tune

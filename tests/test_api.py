@@ -1,6 +1,7 @@
-"""The package's public names, and the router helpers kept off that list."""
+"""The package's public names, its settings, and the router helpers kept off that list."""
 from __future__ import annotations
 
+import dataclasses
 import inspect
 
 import codar_router
@@ -40,3 +41,22 @@ def test_router_helpers_stay_module_level_functions():
     for name in ("route", "initial_mapping", "cf_front", "no_predecessor_front",
                  "candidate_swaps", "heuristic_priority", "launch"):
         assert inspect.isfunction(getattr(router_module, name)), name
+
+
+def test_settings_are_pinned():
+    # Each field and parameter is a value a caller can set.  A new one needs a
+    # caller outside the tests that sets it to something other than the default.
+    cr = codar_router
+    assert [f.name for f in dataclasses.fields(cr.RouterConfig)] == [
+        "duration_aware", "commutativity_on", "table"]
+    expected = {
+        cr.route: ["circuit", "arch", "init", "config"],
+        cr.initial_mapping: ["circuit", "arch", "policy", "config"],
+        cr.verify_equivalence: ["original", "schedule", "oracle", "table"],
+        cr.dependency_equivalence: ["original", "schedule", "table"],
+        cr.statevector_oracle: ["original", "schedule"],
+        cr.emit_program: ["circuit", "decompose_swap"],
+        cr.CommutationTable.with_extras: ["self", "extras"],
+    }
+    for fn, names in expected.items():
+        assert list(inspect.signature(fn).parameters) == names, fn.__qualname__

@@ -53,6 +53,9 @@ def test_disconnected_rejected():
     g = CouplingGraph.from_edges(4, [(0, 1), (2, 3)])
     with pytest.raises(DisconnectedGraphError):
         all_pairs_distances(g)
+    with pytest.raises(DisconnectedGraphError):
+        load_architecture({"num_qubits": 4, "edges": [[0, 1], [2, 3]],
+                           "durations": {"swap": 6}})
 
 
 def test_bad_edge_self_loop():
@@ -116,8 +119,34 @@ def test_presets_load_and_sizes():
     for name in PRESET_NAMES:
         arch = preset_architecture(name)
         assert arch.num_qubits == sizes[name]
-        assert arch.graph.is_connected()
         assert arch.distances == all_pairs_distances(arch.graph)
+
+
+def test_device_table_is_built_and_checked_once(monkeypatch):
+    import codar_router.commutation as commutation
+    from codar_router import BASELINE_TABLE
+
+    config = {"num_qubits": 2, "edges": [[0, 1]], "durations": {"cx": 2, "swap": 6}}
+    plain = load_architecture(config)
+    # The baseline object itself, so gates' cached frontier records still match.
+    assert plain.table is BASELINE_TABLE
+    assert grid_architecture(2, 2).table is BASELINE_TABLE
+
+    checks = []
+    check = commutation._entry_commutes_numerically
+
+    def counted(*args):
+        checks.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(commutation, "_entry_commutes_numerically", counted)
+    arch = load_architecture(dict(config, commutation_extra=[
+        ["sdg", "single", "cx", "cx_control"]]))
+    assert len(checks) == 1
+    table = arch.table
+    assert arch.table is table
+    assert table.allows((GateKind.SDG, "single"), (GateKind.CX, "cx_control"))
+    assert len(checks) == 1
 
 
 def test_resolve_grid_spec():

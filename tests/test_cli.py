@@ -86,6 +86,20 @@ def test_route_unknown_arch_exits_one(golden_file, capsys):
 SQUARE2 = {"num_qubits": 2, "edges": [[0, 1]], "durations": {"cx": 2, "swap": 6}}
 
 
+def run_cli(*args):
+    """Run the CLI in a fresh interpreter, as a user would."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import codar_router
+
+    src = Path(codar_router.__file__).resolve().parent.parent
+    return subprocess.run([sys.executable, "-m", "codar_router.cli", *args],
+                          capture_output=True, text=True, env={"PYTHONPATH": str(src)},
+                          timeout=60)
+
+
 @pytest.mark.parametrize("config", [
     dict(SQUARE2, num_qubits="four"),
     dict(SQUARE2, edges=[[0]]),
@@ -96,21 +110,28 @@ SQUARE2 = {"num_qubits": 2, "edges": [[0, 1]], "durations": {"cx": 2, "swap": 6}
 ], ids=["num-qubits-text", "one-ended-edge", "top-level-list", "text-qubit",
         "durations-list", "extra-row-int"])
 def test_route_malformed_arch_config_exits_one_without_traceback(config, golden_file, tmp_path):
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import codar_router
-
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(config), encoding="utf-8")
-    src = Path(codar_router.__file__).resolve().parent.parent
-    proc = subprocess.run(
-        [sys.executable, "-m", "codar_router.cli", "route", "--arch", str(path),
-         "--input", str(golden_file)],
-        capture_output=True, text=True, env={"PYTHONPATH": str(src)}, timeout=60)
+    proc = run_cli("route", "--arch", str(path), "--input", str(golden_file))
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["route", "bench"])
+def test_missing_duration_for_a_used_gate_exits_one_without_traceback(command, tmp_path):
+    # The device loads, since only SWAP must have a duration; the program's
+    # CX is found to have none while routing.
+    arch = tmp_path / "nocx.json"
+    arch.write_text(json.dumps(dict(SQUARE2, durations={"swap": 6})), encoding="utf-8")
+    (tmp_path / "cx.qasm").write_text("OPENQASM 2.0;\nqreg q[2];\ncx q[0],q[1];\n",
+                                      encoding="utf-8")
+    where = (["--input", str(tmp_path / "cx.qasm")] if command == "route"
+             else ["--corpus", str(tmp_path)])
+    proc = run_cli(command, "--arch", str(arch), *where)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "no duration configured for cx" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -186,7 +207,6 @@ def test_bench_missing_corpus_exits_one(tmp_path, capsys):
 def test_commutation_extra_config_reaches_router(tmp_path):
     import json as _json
     from codar_router import load_architecture, architecture_to_config
-    from codar_router.cli import table_for
     from codar_router.commutation import ROLE_CONTROL, ROLE_SINGLE
 
     config = {
@@ -197,7 +217,7 @@ def test_commutation_extra_config_reaches_router(tmp_path):
     }
     arch = load_architecture(config)
     assert arch.commutation_extra == (("sdg", ROLE_SINGLE, "cx", ROLE_CONTROL),)
-    table = table_for(arch)
+    table = arch.table
     assert table.allows((GateKind.SDG, ROLE_SINGLE), (GateKind.CX, ROLE_CONTROL))
     assert architecture_to_config(arch)["commutation_extra"] == [
         ["sdg", ROLE_SINGLE, "cx", ROLE_CONTROL]]

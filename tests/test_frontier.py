@@ -23,7 +23,7 @@ from codar_router import (
     preset_architecture,
     route,
 )
-from codar_router.commutation import LaneFrontier
+from codar_router.commutation import CommutationTable, LaneFrontier
 from codar_router.router import _SwapSearch
 from codar_router.verify import _is_commuting_reordering, dependency_equivalence, replay_schedule
 
@@ -37,17 +37,29 @@ from oracles import (
     swap_scores_reference,
 )
 
+
+def unchecked_table(rows) -> CommutationTable:
+    """The baseline plus ``with_extras``-style rows, none of them checked.
+
+    Built with the constructor, which checks nothing; ``with_extras`` would
+    reject rows that fail the dense-matrix commutator check.
+    """
+    return CommutationTable(BASELINE_TABLE.pairs | {
+        frozenset(((GateKind(a), role_a), (GateKind(b), role_b)))
+        for a, role_a, b, role_b in rows})
+
+
 # Rows no dense-matrix check would pass: H commuting with itself, with Z and
 # with U3, X with the CX control slot.  The frontier must stay exact anyway.
-UNVALIDATED = BASELINE_TABLE.with_extras([
+UNVALIDATED = unchecked_table([
     ["h", "single", "h", "single"],
     ["h", "single", "z", "single"],
     ["h", "single", "u3", "single"],
     ["x", "single", "cx", "cx_control"],
-], validate=False)
+])
 # H against U3 only: neither is friendly to itself, so two such marks leave
 # a qubit open to repeats of either gate alone.
-MUTUAL = BASELINE_TABLE.with_extras([["h", "single", "u3", "single"]], validate=False)
+MUTUAL = unchecked_table([["h", "single", "u3", "single"]])
 TABLES = (BASELINE_TABLE, UNVALIDATED, MUTUAL)
 
 ARCHS = (preset_architecture("square4"), preset_architecture("demo6"), grid_architecture(3, 3))
@@ -286,7 +298,7 @@ def test_swap_search_state_matches_search_from_scratch():
     assert ties > 0
 
 
-def test_forced_swap_matches_single_gate_search_from_scratch(monkeypatch):
+def test_forced_swap_matches_single_gate_search_from_scratch(monkeypatch, tune_router):
     """Every forced SWAP is the search from scratch over the forced gate alone."""
     forced = []
     forced_swap = router_module._Router._forced_swap
@@ -303,11 +315,11 @@ def test_forced_swap_matches_single_gate_search_from_scratch(monkeypatch):
         return swapped
 
     monkeypatch.setattr(router_module._Router, "_forced_swap", checked_forced_swap)
-    config = RouterConfig(stall_limit=1)
+    tune_router(stall_limit=1)
     for seed in range(6):
         rng = random.Random(seed)
         arch = preset_architecture("q20-tokyo") if seed % 2 else grid_architecture(6, 6)
         circuit = Circuit(arch.num_qubits, random_gates(rng, arch.num_qubits, 120))
-        route(circuit, arch, config=config)
+        route(circuit, arch)
     # Forced SWAPs happen, and most of them choose among several edges.
     assert forced and sum(count > 1 for count in forced) > len(forced) // 2

@@ -5,7 +5,7 @@ Each route must pass the dependency check and the slow reference checker in
 time, put every two-qubit gate on a coupling edge, and reproduce the SHA-256
 of its ``Schedule.to_json()``.  The ``grid:10x10`` route hits stall events,
 so it goes through forced single-gate routing as well.  The 200-gate routes
-stall after every blocked cycle (``stall_limit=1``) and, like the
+stall after every blocked cycle (stall limit 1) and, like the
 desperate-mode route, run out of a lowered SWAP budget and finish in
 desperate mode.
 """
@@ -16,9 +16,7 @@ import random
 
 import pytest
 
-import codar_router.router as router_module
-from codar_router import (BASELINE_TABLE, Circuit, GateKind, RouterConfig,
-                          resolve_architecture, route)
+from codar_router import BASELINE_TABLE, Circuit, GateKind, resolve_architecture, route
 from codar_router.verify import dependency_equivalence, replay_schedule
 
 from oracles import is_commuting_reordering_reference
@@ -43,42 +41,27 @@ def random_program(num_qubits: int, num_gates: int, rng: random.Random) -> Circu
     return circuit
 
 
-def cap_swaps(monkeypatch, cap: int) -> list:
-    """Lower the SWAP budget of every router made from here on; returns them."""
-    routers = []
-    init = router_module._Router.__init__
-
-    def init_with_small_cap(self, *args):
-        init(self, *args)
-        self.swap_cap = cap
-        routers.append(self)
-
-    monkeypatch.setattr(router_module._Router, "__init__", init_with_small_cap)
-    return routers
-
-
-@pytest.mark.parametrize("device, seed, gates, config, swap_cap, stalls, digest", [
-    ("q54-sycamore", 1, 600, RouterConfig(), None, 0,
+@pytest.mark.parametrize("device, seed, gates, stall_limit, swap_cap, stalls, digest", [
+    ("q54-sycamore", 1, 600, None, None, 0,
      "e68bd6abd3944087ef84e4456b906a52c7fe09d98ff91bac03720714dc143f13"),
-    ("grid:10x10", 5, 600, RouterConfig(), None, 2,
+    ("grid:10x10", 5, 600, None, None, 2,
      "7b47939ffe5192c9c14b0b5b7b0647ea3657370b84c88ed835f68f0bfa0c3475"),
-    ("q20-tokyo", 3, 200, RouterConfig(stall_limit=1), 50, 70,
+    ("q20-tokyo", 3, 200, 1, 50, 70,
      "52ff61d11756a704f2e4bfa3ac0fedfad6828e8c16f97b542aadf8fd259cb281"),
-    ("grid:6x6", 1, 200, RouterConfig(stall_limit=1), 50, 71,
+    ("grid:6x6", 1, 200, 1, 50, 71,
      "497403abe31368e7d78706124c7329165762d6e56783459b543d2c54b7f57e5e"),
 ], ids=["q54-sycamore", "grid-10x10", "q20-tokyo-stall-1", "grid-6x6-stall-1"])
-def test_large_device_golden_route(monkeypatch, device, seed, gates, config, swap_cap,
+def test_large_device_golden_route(tune_router, device, seed, gates, stall_limit, swap_cap,
                                    stalls, digest):
-    if swap_cap is not None:
-        cap_swaps(monkeypatch, swap_cap)
+    tune_router(stall_limit=stall_limit, swap_cap=swap_cap)
     arch = resolve_architecture(device)
     circuit = random_program(arch.num_qubits, gates, random.Random(seed))
-    schedule = route(circuit, arch, config=config).schedule
+    schedule = route(circuit, arch).schedule
     check_golden(arch, circuit, schedule, stalls, digest)
 
 
-def test_desperate_mode_drains_the_program(monkeypatch):
-    routers = cap_swaps(monkeypatch, 200)
+def test_desperate_mode_drains_the_program(tune_router):
+    routers = tune_router(swap_cap=200)
     arch = resolve_architecture("grid:10x10")
     circuit = random_program(arch.num_qubits, 300, random.Random(2))
     schedule = route(circuit, arch).schedule

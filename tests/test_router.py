@@ -271,21 +271,23 @@ def test_swap_with_unoccupied_physical_qubit():
     assert inv.count(-1) == 1  # one physical qubit still unoccupied
 
 
-def test_forced_move_counts_stall_event():
+def test_forced_move_counts_stall_event(tune_router):
     from codar_router import grid_architecture
+    tune_router(stall_limit=1)
     arch = grid_architecture(1, 3)
     circ = Circuit(3).cx(0, 1).cx(0, 2)
-    result = route(circ, arch, config=RouterConfig(stall_limit=1))
+    result = route(circ, arch)
     assert result.schedule.stall_events >= 1
     # forced routing still produces a legal, complete schedule
     kinds = [it.gate.kind for it in result.schedule.items]
     assert kinds.count(GateKind.CX) == 2
 
 
-def test_idle_cycles_skip_to_the_stall_limit_under_a_long_lock(monkeypatch):
+def test_idle_cycles_skip_to_the_stall_limit_under_a_long_lock(monkeypatch, tune_router):
     # CX(1,2) holds qubits 1 and 2 for 20 cycles, so nothing can move CX(0,3)
-    # closer; with stall_limit=1 the router forces it at cycle 2, long before
+    # closer; with stall limit 1 the router forces it at cycle 2, long before
     # the lock releases, then waits for the first release at cycle 6.
+    tune_router(stall_limit=1)
     arch = grid_architecture(1, 5, {**DEFAULT_DURATIONS, GateKind.CX: 20})
     circ = Circuit(5).cx(1, 2).cx(0, 3).t(0).cx(2, 4).cx(1, 4).h(3)
     cycles = []
@@ -296,7 +298,7 @@ def test_idle_cycles_skip_to_the_stall_limit_under_a_long_lock(monkeypatch):
         return launch_ready(self)
 
     monkeypatch.setattr(router_module._Router, "_launch_ready", record)
-    schedule = route(circ, arch, config=RouterConfig(stall_limit=1)).schedule
+    schedule = route(circ, arch).schedule
     assert cycles[:4] == [0, 1, 2, 6]
     assert schedule.stall_events == 2
     assert schedule.weighted_depth == 79
@@ -315,11 +317,6 @@ def test_with_qubits_keeps_every_other_field():
     for field in dataclasses.fields(Gate):
         if field.name != "qubits":
             assert getattr(moved, field.name) == getattr(gate, field.name), field.name
-
-
-def test_stall_limit_validation():
-    with pytest.raises(Exception):
-        RouterConfig(stall_limit=0)
 
 
 def test_lock_exclusivity_and_coupling(square4, corpus_dir):
