@@ -280,6 +280,14 @@ class _SwapSearch:
     gates on its endpoints and their placement, never on the clock or the
     locks.  Whenever a gate enters, leaves or moves, the scores of the edges
     on its physical qubits are dropped.
+
+    Within one cycle the front is fixed, so the SWAP phase gathers its
+    candidates once: :meth:`candidates` maps each positive scoring one to its
+    score.  A SWAP then locks ``i`` and ``j`` and moves only the gates on
+    them, which :meth:`swap` returns, so no edge away from the qubits of
+    those gates can change its candidacy or its score; :meth:`recheck`
+    updates those edges alone, and :meth:`best` picks the next SWAP from
+    the map.
     """
 
     def __init__(self, gates: list[Gate], placement: Mapping, arch: Architecture):
@@ -331,32 +339,81 @@ class _SwapSearch:
             self._invalidate(a)
             self._invalidate(b)
 
-    def swap(self, i: int, j: int) -> None:
-        """Exchange the placement of physical qubits ``i`` and ``j``."""
+    def swap(self, i: int, j: int) -> set[int]:
+        """Exchange the placement of physical qubits ``i`` and ``j``.
+
+        Returns the source indices of the gates it moved: besides ``i`` and
+        ``j``, their qubits are the only ones whose edges can change
+        candidacy or score.
+        """
         moved = self.on_qubit[i] | self.on_qubit[j]
         self.discard(moved)
         self.placement.swap(i, j)
         self.add(moved)
+        return moved
 
     def _invalidate(self, p: int) -> None:
         for edge in self.edges_at[p]:
             self.scores.pop(edge, None)
 
-    def best(self, locks: list[int], t: int) -> tuple[int, int] | None:
-        """Highest strictly positive scoring candidate, ties to the smallest edge."""
-        best = None
-        best_score = 0
-        # Module-level names, looked up at each call, so that a wrapper
-        # installed on this module sees every candidate search and score.
-        for edge in candidate_swaps(self.endpoints, locks, t, self.arch):
-            score = self.scores.get(edge)
+    def _rank(self, found: dict[tuple[int, int], int], edges) -> None:
+        """Put each of ``edges`` with a positive score into ``found``.
+
+        Scores come from the cache, computed again only after the gates on
+        an edge's qubits change.
+        """
+        scores, on_qubit, gates = self.scores, self.on_qubit, self.gates
+        for edge in edges:
+            score = scores.get(edge)
             if score is None:
                 i, j = edge
-                incident = self.on_qubit[i] | self.on_qubit[j]
-                score = heuristic_priority(edge, [self.gates[seq] for seq in incident],
-                                           self.placement.fwd, self.arch.distances)
-                self.scores[edge] = score
-            if score > best_score:
+                score = scores[edge] = heuristic_priority(
+                    edge, [gates[seq] for seq in on_qubit[i] | on_qubit[j]],
+                    self.placement.fwd, self.arch.distances)
+            if score > 0:
+                found[edge] = score
+
+    def candidates(self, locks: list[int], t: int) -> dict[tuple[int, int], int]:
+        """The cycle's strictly positive scoring SWAP candidates, with their scores."""
+        found: dict[tuple[int, int], int] = {}
+        # Module-level names, looked up at each call (here and in _rank), so
+        # that a wrapper installed on this module sees every candidate search
+        # and score.
+        self._rank(found, candidate_swaps(self.endpoints, locks, t, self.arch))
+        return found
+
+    def recheck(self, found: dict[tuple[int, int], int], moved, locks: list[int],
+                t: int) -> None:
+        """Update ``found`` after a SWAP launched at cycle ``t``.
+
+        ``moved`` is what :meth:`swap` returned, and ``locks`` already hold
+        the SWAP, so the candidates on its two qubits are dropped.  Then each
+        edge on a free qubit of a moved gate is checked again: it is a
+        candidate while both its qubits are free and one of them holds an
+        operand of a blocked gate, as in :func:`candidate_swaps`, and its
+        score is positive.
+        """
+        for edge in [(a, b) for a, b in found if locks[a] > t or locks[b] > t]:
+            del found[edge]
+        fwd, endpoints = self.placement.fwd, self.endpoints
+        qualified = []
+        for seq in moved:
+            for q in self.gates[seq].qubits:
+                if locks[fwd[q]] > t:
+                    continue
+                for edge in self.edges_at[fwd[q]]:
+                    found.pop(edge, None)
+                    a, b = edge
+                    if locks[a] <= t and locks[b] <= t and (a in endpoints or b in endpoints):
+                        qualified.append(edge)
+        self._rank(found, qualified)
+
+    @staticmethod
+    def best(found: dict[tuple[int, int], int]) -> tuple[int, int] | None:
+        """Highest scoring edge of a candidate map, ties to the smallest edge."""
+        best, best_score = None, 0
+        for edge, score in found.items():
+            if score > best_score or score == best_score and edge < best:
                 best, best_score = edge, score
         return best
 
@@ -425,12 +482,12 @@ class _Router:
             self.search.add(ready)
 
     # swap phase ----------------------------------------------------------
-    def _launch_swap(self, edge: tuple[int, int]) -> None:
+    def _launch_swap(self, edge: tuple[int, int]) -> set[int]:
         pgate = Gate(GateKind.SWAP, edge)
         launch(pgate, self.t, self.locks, self.items, self.arch,
                self.config.duration_aware, inserted=True)
-        self.search.swap(*edge)
         self.n_swaps += 1
+        return self.search.swap(*edge)
 
     def _forced_swap(self) -> bool:
         """The SWAP search restricted to the forced gate, as ``_SwapSearch.best`` picks."""
@@ -451,13 +508,15 @@ class _Router:
         return True
 
     def _heuristic_swaps(self) -> bool:
-        launched = False
-        while (best := self.search.best(self.locks, self.t)) is not None:
-            self._launch_swap(best)
-            launched = True
+        locks, t = self.locks, self.t
+        found = self.search.candidates(locks, t)
+        launched = bool(found)
+        while found:
+            moved = self._launch_swap(self.search.best(found))
             if self.n_swaps > self.swap_cap:
                 self.desperate = True
                 break
+            self.search.recheck(found, moved, locks, t)
         return launched
 
     # main loop -----------------------------------------------------------

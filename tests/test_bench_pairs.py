@@ -1,7 +1,10 @@
-"""The summary of ``tools/bench_pairs.py``: medians, quartiles and pair wins."""
+"""``tools/bench_pairs.py``: the summary's medians, quartiles and pair wins, and
+how a series is run and written."""
 from __future__ import annotations
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -49,3 +52,63 @@ def test_summary_skips_unpaired_runs_and_handles_one_pair():
 def test_quartiles(values, expected):
     q = bench_pairs.quartiles(values)
     assert (q["q1"], q["median"], q["q3"]) == expected
+
+
+class FakeBenchmark:
+    """Stands in for ``subprocess.run`` of ``perfbench/run.py``: records each call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, args, cwd, env, **kwargs):
+        self.calls.append((Path(cwd), env["PYTHONPYCACHEPREFIX"]))
+        line = {"metrics": {"compile_gates_per_s": {"value": 100.0 + len(self.calls),
+                                                    "unit": "gates/s"}},
+                "correct": True, "failed": 0}
+        return subprocess.CompletedProcess(args, 0, f"digest\n{json.dumps(line)}\n", "")
+
+
+@pytest.fixture
+def fake_benchmark(monkeypatch):
+    fake = FakeBenchmark()
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, into: f"commit-of-{rev}")
+    monkeypatch.setattr(subprocess, "run", fake)
+    return fake
+
+
+def test_each_tree_runs_with_its_own_fresh_bytecode_prefix(fake_benchmark, tmp_path):
+    assert bench_pairs.main(["HEAD~1", "--out", str(tmp_path / "BENCH.json"),
+                             "--workload", "corpus", "--pairs", "3"]) == 0
+    prefixes: dict[Path, set[str]] = {}
+    for tree, prefix in fake_benchmark.calls:
+        prefixes.setdefault(tree, set()).add(prefix)
+    assert len(fake_benchmark.calls) == 6
+    (change_prefix,) = prefixes.pop(bench_pairs.ROOT)
+    ((parent_tree, (parent_prefix,)),) = prefixes.items()
+    assert parent_prefix != change_prefix
+    for prefix in (parent_prefix, change_prefix):
+        # Next to the parent's export, in the temporary directory that is
+        # gone once the series ends.
+        assert Path(prefix).parent == parent_tree.parent and not Path(prefix).exists()
+
+
+def test_rerun_replaces_only_its_own_series_in_the_named_file(fake_benchmark, tmp_path):
+    out = tmp_path / "BENCH_9.json"
+    kept = [{"workload": "random-grid", "seed": 3, "runs": ["kept"]},
+            {"workload": "corpus", "seed": 1, "runs": ["kept"]}]
+    out.write_text(json.dumps({"series": kept + [
+        {"workload": "random-grid", "seed": 1, "runs": ["replaced"]}]}))
+    assert bench_pairs.main(["HEAD~1", "--out", str(out), "--workload", "random-grid",
+                             "--pairs", "2"]) == 0
+    series = json.loads(out.read_text())["series"]
+    assert series[:2] == kept
+    (rerun,) = series[2:]
+    assert (rerun["workload"], rerun["seed"], rerun["parent"]) == ("random-grid", 1,
+                                                                  "commit-of-HEAD~1")
+    assert f"--out {out} --workload random-grid --seed 1 --pairs 2" in rerun["command"]
+    assert len(rerun["runs"]) == 4 and rerun["summary"]["compile_gates_per_s"]["pairs"] == 2
+
+
+def test_out_is_required():
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["HEAD~1", "--workload", "corpus"])

@@ -247,10 +247,13 @@ def test_blocker_is_the_earliest_unplaced_non_commuting_gate():
 def test_swap_search_state_matches_search_from_scratch():
     """Random front entries, launches, SWAPs and lock vectors on large devices.
 
-    After every step the state's blocked set, its oldest gate and its chosen
-    SWAP must equal what the search from scratch derives from the whole front.
+    After every step the state's blocked set and its oldest gate must equal
+    what the search from scratch derives from the whole front.  A cycle then
+    runs at a random clock and locks: each pick, and the candidate map it
+    comes from, must equal the search from scratch after every SWAP that
+    the cycle launched, with that SWAP's qubits locked and its gates moved.
     """
-    ties = 0
+    ties = multi_swap_cycles = 0
     for seed in range(24):
         rng = random.Random(seed)
         arch = preset_architecture("q20-tokyo") if seed % 2 else grid_architecture(10, 10)
@@ -290,12 +293,55 @@ def test_swap_search_state_matches_search_from_scratch():
             assert set(search.endpoints) == {placement.fwd[q] for seq in blocked
                                              for q in gates[seq].qubits}
             assert min(search.blocked, default=None) == (blocked[0] if blocked else None)
-            assert search.best(locks, t) == best_swap_reference(cf_gates, placement, locks, t,
-                                                                arch)
 
-            scores = list(swap_scores_reference(cf_gates, placement, locks, t, arch).values())
-            ties += max(scores, default=0) > 0 and scores.count(max(scores)) > 1
-    assert ties > 0
+            found = search.candidates(locks, t)
+            swaps = 0
+            while True:
+                scores = swap_scores_reference(cf_gates, placement, locks, t, arch)
+                assert found == {edge: score for edge, score in scores.items() if score > 0}
+                best = search.best(found)
+                assert best == best_swap_reference(cf_gates, placement, locks, t, arch)
+                top = max(scores.values(), default=0)
+                ties += top > 0 and list(scores.values()).count(top) > 1
+                if best is None:
+                    break
+                i, j = best
+                locks[i] = locks[j] = t + rng.choice((1, 6))
+                search.recheck(found, search.swap(i, j), locks, t)
+                swaps += 1
+            multi_swap_cycles += swaps > 1
+    assert ties > 0 and multi_swap_cycles > 0
+
+
+def test_heuristic_swaps_match_search_from_scratch(monkeypatch):
+    """Every heuristic SWAP is the search from scratch over the live front.
+
+    The reference sees the front, placement, locks and clock just before the
+    SWAP launches, so the picks after the first in a cycle check the update
+    of the cycle's candidates.
+    """
+    per_cycle: dict[tuple[object, int], int] = {}
+    launch_swap = router_module._Router._launch_swap
+
+    def checked_launch_swap(self, edge):
+        if self.forced_seq is None:
+            front = [self.pending[seq] for seq in sorted(self.frontier.front)]
+            assert edge == best_swap_reference(front, self.placement, self.locks, self.t,
+                                               self.arch)
+            key = (self, self.t)
+            per_cycle[key] = per_cycle.get(key, 0) + 1
+        return launch_swap(self, edge)
+
+    monkeypatch.setattr(router_module._Router, "_launch_swap", checked_launch_swap)
+    for config in (RouterConfig(), RouterConfig(duration_aware=False, commutativity_on=False)):
+        per_cycle.clear()
+        for seed in range(4):
+            rng = random.Random(seed)
+            arch = preset_architecture("q20-tokyo") if seed % 2 else grid_architecture(10, 10)
+            circuit = Circuit(arch.num_qubits, random_gates(rng, arch.num_qubits, 150))
+            route(circuit, arch, config=config)
+        # Many cycles launch several heuristic SWAPs.
+        assert sum(count > 1 for count in per_cycle.values()) > 20
 
 
 def test_forced_swap_matches_single_gate_search_from_scratch(monkeypatch, tune_router):

@@ -3,21 +3,25 @@
 
 Usage, from the repository root:
 
-    python3 tools/bench_pairs.py PARENT_REV --workload qft-q54 --seed 1 --pairs 10
+    python3 tools/bench_pairs.py PARENT_REV --out BENCH_2.json \
+        --workload qft-q54 --seed 1 --pairs 10
 
 Exports ``PARENT_REV`` with ``git archive`` into a temporary directory, then
 runs ``perfbench/run.py --trace 0`` there and in the working tree, one of each
 per pair, for the ``run_seconds`` that ``BENCHMARK.json`` sets; even pairs run
-the parent first, odd pairs the change.  Every result line goes into
-``BENCH_0.json`` at the repository root, with each end-to-end metric's median,
-quartiles and per-pair win count.  The file keeps one series per workload and
-seed, so runs at another seed are added next to the earlier ones and a rerun
-replaces its own series.
+the parent first, odd pairs the change.  Each side writes its bytecode under
+its own fresh ``PYTHONPYCACHEPREFIX`` in the temporary directory, so neither
+starts from bytecode that the other lacks.  Every result line goes into the
+``--out`` file, relative to the repository root, with each end-to-end
+metric's median, quartiles and per-pair win count.  The file keeps one series
+per workload and seed, so runs at another seed are added next to the earlier
+ones and a rerun replaces its own series.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -64,12 +68,17 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     return summary
 
 
-def run_benchmark(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``--trace 0`` run in ``tree``: its digest line and its result line."""
+def run_benchmark(tree: Path, workload: str, seed: int, seconds: float,
+                  pycache: Path) -> dict:
+    """One ``--trace 0`` run in ``tree``: its digest line and its result line.
+
+    The run reads and writes bytecode only under ``pycache``.
+    """
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True, check=False)
+        cwd=tree, capture_output=True, text=True, check=False,
+        env={**os.environ, "PYTHONPYCACHEPREFIX": str(pycache)})
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         raise SystemExit(f"benchmark in {tree} exited {proc.returncode}:\n{proc.stderr}")
@@ -89,6 +98,7 @@ def export(rev: str, into: Path) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", metavar="PARENT_REV")
+    parser.add_argument("--out", required=True, help="result file, e.g. BENCH_2.json")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=10)
@@ -97,24 +107,26 @@ def main(argv=None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     runs = []
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        commit = export(args.parent, Path(tmp))
-        trees = {"parent": Path(tmp), "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        parent_tree = Path(tmp) / "parent"
+        parent_tree.mkdir()
+        commit = export(args.parent, parent_tree)
+        trees = {"parent": parent_tree, "change": ROOT}
         for pair in range(args.pairs):
             for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
                 result = run_benchmark(trees[side], args.workload, args.seed,
-                                       benchmark["run_seconds"])
+                                       benchmark["run_seconds"], Path(tmp) / f"pycache-{side}")
                 runs.append({"pair": pair, "side": side, **result})
                 print(json.dumps({"pair": pair, "side": side,
                                   "compile_gates_per_s":
                                       result["metrics"]["compile_gates_per_s"]["value"]}),
                       flush=True)
 
-    out = ROOT / "BENCH_0.json"
+    out = ROOT / args.out
     doc = json.loads(out.read_text()) if out.exists() else {"series": []}
     series = {
-        "command": (f"python3 tools/bench_pairs.py {args.parent} --workload {args.workload} "
-                    f"--seed {args.seed} --pairs {args.pairs}"),
+        "command": (f"python3 tools/bench_pairs.py {args.parent} --out {args.out} "
+                    f"--workload {args.workload} --seed {args.seed} --pairs {args.pairs}"),
         "parent": commit,
         "workload": args.workload,
         "seed": args.seed,
