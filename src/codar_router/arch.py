@@ -10,11 +10,9 @@ import json
 import re
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from importlib import resources
 
 from .circuit import GateKind
-from .commutation import BASELINE_TABLE, CommutationTable
 
 # Single-qubit kinds run in one cycle, two-qubit in two, and a SWAP costs as
 # much as its three-CX decomposition.  BARRIER is a pure scheduling fence.
@@ -111,19 +109,12 @@ def all_pairs_distances(graph: CouplingGraph) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class Architecture:
-    """Static device description shared by all routing jobs.
-
-    ``commutation_extra`` carries config-declared commutation table rows.
-    ``table`` is the device's commutation table: the baseline plus those
-    rows, each checked against the dense-matrix oracle once, when the config
-    is loaded.
-    """
+    """Static device description shared by all routing jobs."""
 
     name: str
     graph: CouplingGraph
     durations: dict[GateKind, int]
     distances: list[list[int]]
-    commutation_extra: tuple[tuple[str, str, str, str], ...] = ()
 
     @property
     def num_qubits(self) -> int:
@@ -135,14 +126,6 @@ class Architecture:
     @property
     def diameter(self) -> int:
         return max(max(row) for row in self.distances)
-
-    @cached_property
-    def table(self) -> CommutationTable:
-        # The baseline object itself when there are no rows: gates cache
-        # their frontier records per table object.
-        if not self.commutation_extra:
-            return BASELINE_TABLE
-        return BASELINE_TABLE.with_extras(self.commutation_extra)
 
 
 def duration_of(arch: Architecture, kind: GateKind) -> int:
@@ -163,11 +146,9 @@ def _check_durations(durations: dict[GateKind, int]) -> dict[GateKind, int]:
     return dict(durations)
 
 
-def _build(name: str, graph: CouplingGraph, durations: dict[GateKind, int],
-           commutation_extra: tuple = ()) -> Architecture:
+def _build(name: str, graph: CouplingGraph, durations: dict[GateKind, int]) -> Architecture:
     distances = all_pairs_distances(graph)
-    return Architecture(name, graph, _check_durations(durations), distances,
-                        commutation_extra)
+    return Architecture(name, graph, _check_durations(durations), distances)
 
 
 def load_architecture(config: dict) -> Architecture:
@@ -176,9 +157,8 @@ def load_architecture(config: dict) -> Architecture:
     Expected fields: ``name``, ``num_qubits``, ``edges`` (pair list) and
     ``durations`` (gate-kind name to cycle count).  The duration table is
     taken as given, so a config that omits SWAP fails here rather than at
-    routing time, as does a ``commutation_extra`` row that fails the
-    commutator check of :attr:`Architecture.table`.  A document of the wrong
-    shape raises :class:`ArchitectureError` too.
+    routing time.  A document of the wrong shape raises
+    :class:`ArchitectureError` too.  Other fields are ignored.
     """
     if not isinstance(config, dict):
         raise ArchitectureError(f"config must be a JSON object, got {type(config).__name__}")
@@ -208,17 +188,8 @@ def load_architecture(config: dict) -> Architecture:
         except ValueError:
             raise ArchitectureError(f"unknown gate kind {key!r} in durations") from None
         durations[kind] = value
-    rows = config.get("commutation_extra", ())
-    if not (isinstance(rows, (list, tuple)) and all(isinstance(r, (list, tuple)) for r in rows)):
-        raise ArchitectureError(f"commutation_extra must be a list of rows, got {rows!r}")
-    extra = tuple(tuple(str(x) for x in row) for row in rows)
     graph = CouplingGraph.from_edges(num_qubits, edges)
-    arch = _build(str(config.get("name", "custom")), graph, durations, extra)
-    try:
-        arch.table
-    except ValueError as exc:
-        raise ArchitectureError(str(exc)) from None
-    return arch
+    return _build(str(config.get("name", "custom")), graph, durations)
 
 
 def load_architecture_file(path) -> Architecture:
@@ -228,15 +199,12 @@ def load_architecture_file(path) -> Architecture:
 
 def architecture_to_config(arch: Architecture) -> dict:
     """Lossless config document for :func:`load_architecture`."""
-    config = {
+    return {
         "name": arch.name,
         "num_qubits": arch.num_qubits,
         "edges": [list(e) for e in sorted(arch.graph.edges)],
         "durations": {k.value: v for k, v in sorted(arch.durations.items(), key=lambda kv: kv[0].value)},
     }
-    if arch.commutation_extra:
-        config["commutation_extra"] = [list(row) for row in arch.commutation_extra]
-    return config
 
 
 def grid_architecture(rows: int, cols: int,

@@ -166,9 +166,6 @@ class Circuit:
         return Circuit(self.num_qubits, list(reversed(self.gates)),
                        self.register_name, self.creg_name, self.num_clbits)
 
-    def two_qubit_gates(self) -> list[Gate]:
-        return [g for g in self.gates if g.kind in TWO_QUBIT_KINDS]
-
     def structurally_equal(self, other: Circuit) -> bool:
         """Equality ignoring source line numbers and register naming."""
         return (self.num_qubits == other.num_qubits

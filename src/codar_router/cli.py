@@ -52,8 +52,7 @@ def _load_circuit(path: Path) -> Circuit:
 def build_report(name: str, arch: Architecture, result: RoutingResult,
                  original: Circuit, cfg: RouterConfig, init_policy: str,
                  oracle: str, wall_time_ms: float) -> dict:
-    equivalence = verify_equivalence(original, result.schedule, oracle=oracle,
-                                     table=cfg.table)
+    equivalence = verify_equivalence(original, result.schedule, oracle=oracle)
     schedule = result.schedule
     report = {
         "circuit": name,
@@ -94,8 +93,7 @@ def run_route(args) -> int:
         return 1
 
     cfg = RouterConfig(duration_aware=not args.no_duration_aware,
-                       commutativity_on=not args.no_commutativity,
-                       table=arch.table)
+                       commutativity_on=not args.no_commutativity)
     init_policy = "reverse_pass" if args.init == "reverse" else "identity"
     start = time.perf_counter()
     try:
@@ -141,7 +139,7 @@ def bench_corpus(corpus_dir: Path, archs: list[Architecture],
     errors: list[dict] = []
     files = sorted(corpus_dir.glob("*.qasm"))
     for arch in archs:
-        full_cfg = RouterConfig(table=arch.table)
+        full_cfg = RouterConfig()
         ablated_cfg = RouterConfig(duration_aware=False, commutativity_on=False)
         for path in files:
             name = path.stem

@@ -106,36 +106,6 @@ class CommutationTable:
             out.append((a, b))
         return sorted(out, key=lambda ab: (ab[0][0].value, ab[0][1], ab[1][0].value, ab[1][1]))
 
-    def with_extras(self, extras) -> CommutationTable:
-        """Extend with ``[[kindA, roleA, kindB, roleB], ...]`` config rows.
-
-        Each added pair is checked against the dense-matrix oracle first, so a
-        config cannot smuggle in a semantics-breaking entry.
-        """
-        added: set[frozenset[Entry]] = set()
-        for row in extras:
-            kind_a, role_a, kind_b, role_b = row
-            a = (GateKind(str(kind_a).lower()), str(role_a))
-            b = (GateKind(str(kind_b).lower()), str(role_b))
-            for entry in (a, b):
-                _check_entry_shape(entry)
-            if not _entry_commutes_numerically(a, b):
-                raise ValueError(
-                    f"commutation_extra entry {row!r} fails the unitary commutator check")
-            added.add(frozenset((a, b)))
-        return CommutationTable(self.pairs | frozenset(added))
-
-
-def _check_entry_shape(entry: Entry) -> None:
-    kind, role = entry
-    if kind is GateKind.CX:
-        if role not in (ROLE_CONTROL, ROLE_TARGET):
-            raise ValueError(f"cx entries need {ROLE_CONTROL}/{ROLE_TARGET}, got {role!r}")
-    elif role != ROLE_SINGLE:
-        raise ValueError(f"{kind.value} entries use role {ROLE_SINGLE!r}, got {role!r}")
-    if kind in (GateKind.MEASURE, GateKind.BARRIER):
-        raise ValueError(f"{kind.value} never commutes on a shared qubit")
-
 
 BASELINE_TABLE = CommutationTable(frozenset(
     _family_pairs(_DIAGONAL) | _family_pairs(_X_AXIS) | _family_pairs(_Y_AXIS)))

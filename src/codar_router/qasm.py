@@ -319,6 +319,8 @@ class _Parser:
         if len(params) != kind.num_params:
             raise QasmSyntaxError(
                 f"{name} takes {kind.num_params} parameter(s), got {len(params)}", line)
+        if not all(map(math.isfinite, params)):
+            raise QasmSyntaxError(f"{name} parameter is not a finite number", line)
         qubits: list[int] = []
         while True:
             q = self._qubit_operand(line)

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 from .arch import Architecture, duration_of
 from .circuit import Circuit, Gate, GateKind, TWO_QUBIT_KINDS
-from .commutation import (BASELINE_TABLE, CommutationTable, LaneFrontier, cf_front,
-                          no_predecessor_front)
+from .commutation import LaneFrontier, cf_front, no_predecessor_front
 from .qasm import Diagnostic, validate
 
 
@@ -192,7 +191,6 @@ class RouterConfig:
 
     duration_aware: bool = True
     commutativity_on: bool = True
-    table: CommutationTable = BASELINE_TABLE
 
 
 @dataclass
@@ -449,7 +447,7 @@ class _Router:
         # The frontier functions are looked up by name at each call, so a
         # wrapper installed on this module sees every lane rescan.
         if self.config.commutativity_on:
-            return cf_front(gates, self.config.table, lane=qubit)
+            return cf_front(gates, lane=qubit)
         return no_predecessor_front(gates)
 
     # launch phase --------------------------------------------------------

@@ -224,8 +224,7 @@ class EquivalenceReport:
         }
 
 
-def dependency_equivalence(original: Circuit, schedule: Schedule,
-                           table: CommutationTable = BASELINE_TABLE) -> EquivalenceReport:
+def dependency_equivalence(original: Circuit, schedule: Schedule) -> EquivalenceReport:
     """Check that the schedule preserves the source program's dependencies.
 
     Inserted SWAPs are replayed onto the mapping and everything else is
@@ -237,7 +236,8 @@ def dependency_equivalence(original: Circuit, schedule: Schedule,
     details = list(replay.violations)
     if replay.final_mapping != schedule.final_mapping:
         details.append("replayed SWAPs do not reproduce the reported final mapping")
-    ok, problems = _is_commuting_reordering(list(original.gates), replay.logical_gates, table)
+    ok, problems = _is_commuting_reordering(list(original.gates), replay.logical_gates,
+                                            BASELINE_TABLE)
     details.extend(problems)
     return EquivalenceReport(dependency_ok=ok and not details, details=details)
 
@@ -280,10 +280,10 @@ def statevector_oracle(original: Circuit, schedule: Schedule) -> tuple[bool, flo
     return states_close(ref, got)
 
 
-def verify_equivalence(original: Circuit, schedule: Schedule, oracle: str = "auto",
-                       table: CommutationTable = BASELINE_TABLE) -> EquivalenceReport:
+def verify_equivalence(original: Circuit, schedule: Schedule,
+                       oracle: str = "auto") -> EquivalenceReport:
     """Run the dependency check plus, when feasible and wanted, the oracle."""
-    report = dependency_equivalence(original, schedule, table)
+    report = dependency_equivalence(original, schedule)
     if oracle == "off":
         return report
     try:

@@ -48,15 +48,14 @@ def test_settings_are_pinned():
     # caller outside the tests that sets it to something other than the default.
     cr = codar_router
     assert [f.name for f in dataclasses.fields(cr.RouterConfig)] == [
-        "duration_aware", "commutativity_on", "table"]
+        "duration_aware", "commutativity_on"]
     expected = {
         cr.route: ["circuit", "arch", "init", "config"],
         cr.initial_mapping: ["circuit", "arch", "policy", "config"],
-        cr.verify_equivalence: ["original", "schedule", "oracle", "table"],
-        cr.dependency_equivalence: ["original", "schedule", "table"],
+        cr.verify_equivalence: ["original", "schedule", "oracle"],
+        cr.dependency_equivalence: ["original", "schedule"],
         cr.statevector_oracle: ["original", "schedule"],
         cr.emit_program: ["circuit", "decompose_swap"],
-        cr.CommutationTable.with_extras: ["self", "extras"],
     }
     for fn, names in expected.items():
         assert list(inspect.signature(fn).parameters) == names, fn.__qualname__

@@ -122,33 +122,6 @@ def test_presets_load_and_sizes():
         assert arch.distances == all_pairs_distances(arch.graph)
 
 
-def test_device_table_is_built_and_checked_once(monkeypatch):
-    import codar_router.commutation as commutation
-    from codar_router import BASELINE_TABLE
-
-    config = {"num_qubits": 2, "edges": [[0, 1]], "durations": {"cx": 2, "swap": 6}}
-    plain = load_architecture(config)
-    # The baseline object itself, so gates' cached frontier records still match.
-    assert plain.table is BASELINE_TABLE
-    assert grid_architecture(2, 2).table is BASELINE_TABLE
-
-    checks = []
-    check = commutation._entry_commutes_numerically
-
-    def counted(*args):
-        checks.append(args)
-        return check(*args)
-
-    monkeypatch.setattr(commutation, "_entry_commutes_numerically", counted)
-    arch = load_architecture(dict(config, commutation_extra=[
-        ["sdg", "single", "cx", "cx_control"]]))
-    assert len(checks) == 1
-    table = arch.table
-    assert arch.table is table
-    assert table.allows((GateKind.SDG, "single"), (GateKind.CX, "cx_control"))
-    assert len(checks) == 1
-
-
 def test_resolve_grid_spec():
     arch = resolve_architecture("grid:2x3")
     assert arch.num_qubits == 6 and len(arch.graph.edges) == 7

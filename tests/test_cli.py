@@ -100,15 +100,27 @@ def run_cli(*args):
                           timeout=60)
 
 
+# A valid device for GOLDEN: 4 qubits, durations for every kind it routes to.
+SQUARE4 = {"num_qubits": 4, "edges": [[0, 1], [0, 2], [1, 3], [2, 3]],
+           "durations": {"t": 1, "cx": 2, "swap": 6}}
+
+
+def test_route_valid_arch_config_exits_zero(golden_file, tmp_path):
+    # Control for the malformed cases below, which change one field of it.
+    path = tmp_path / "square4.json"
+    path.write_text(json.dumps(SQUARE4), encoding="utf-8")
+    proc = run_cli("route", "--arch", str(path), "--input", str(golden_file))
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("config", [
-    dict(SQUARE2, num_qubits="four"),
-    dict(SQUARE2, edges=[[0]]),
-    [SQUARE2],
-    dict(SQUARE2, edges=[["a", 1]]),
-    dict(SQUARE2, durations=[6]),
-    dict(SQUARE2, commutation_extra=[5]),
+    dict(SQUARE4, num_qubits="four"),
+    dict(SQUARE4, edges=[[0]]),
+    [SQUARE4],
+    dict(SQUARE4, edges=[["a", 1]]),
+    dict(SQUARE4, durations=[6]),
 ], ids=["num-qubits-text", "one-ended-edge", "top-level-list", "text-qubit",
-        "durations-list", "extra-row-int"])
+        "durations-list"])
 def test_route_malformed_arch_config_exits_one_without_traceback(config, golden_file, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(config), encoding="utf-8")
@@ -116,6 +128,9 @@ def test_route_malformed_arch_config_exits_one_without_traceback(config, golden_
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+    # Refused while loading the device, before the program is read.
+    assert "TooManyQubits" not in proc.stderr
+    assert str(golden_file) not in proc.stderr
 
 
 @pytest.mark.parametrize("command", ["route", "bench"])
@@ -204,34 +219,32 @@ def test_bench_missing_corpus_exits_one(tmp_path, capsys):
     assert code == 1
 
 
-def test_commutation_extra_config_reaches_router(tmp_path):
-    import json as _json
-    from codar_router import load_architecture, architecture_to_config
-    from codar_router.commutation import ROLE_CONTROL, ROLE_SINGLE
+def test_commutation_extra_config_reaches_router(golden_file, tmp_path):
+    # The commutation table is fixed; a config that still carries the old
+    # ``commutation_extra`` key loads, and the key has no effect on the route.
+    reports = []
+    for name, config in (("plain", SQUARE4),
+                         ("extra", dict(SQUARE4, commutation_extra=[
+                             ["sdg", "single", "cx", "cx_control"]]))):
+        arch_path = tmp_path / f"{name}.json"
+        arch_path.write_text(json.dumps(config), encoding="utf-8")
+        report_path = tmp_path / f"{name}-report.json"
+        assert main(["route", "--arch", str(arch_path), "--input", str(golden_file),
+                     "--output", str(tmp_path / f"{name}.qasm"),
+                     "--report", str(report_path)]) == 0
+        reports.append(json.loads(report_path.read_text(encoding="utf-8")))
+    assert reports[0]["schedule"] == reports[1]["schedule"]
 
-    config = {
-        "name": "square4x", "num_qubits": 4,
-        "edges": [[0, 1], [0, 2], [1, 3], [2, 3]],
-        "durations": {"t": 1, "cx": 2, "swap": 6, "h": 1, "measure": 1, "barrier": 0},
-        "commutation_extra": [["sdg", ROLE_SINGLE, "cx", ROLE_CONTROL]],
-    }
-    arch = load_architecture(config)
-    assert arch.commutation_extra == (("sdg", ROLE_SINGLE, "cx", ROLE_CONTROL),)
-    table = arch.table
-    assert table.allows((GateKind.SDG, ROLE_SINGLE), (GateKind.CX, ROLE_CONTROL))
-    assert architecture_to_config(arch)["commutation_extra"] == [
-        ["sdg", ROLE_SINGLE, "cx", ROLE_CONTROL]]
-    # unsound rows are rejected when the config is loaded
-    bad = dict(config, commutation_extra=[["h", ROLE_SINGLE, "x", ROLE_SINGLE]])
-    with pytest.raises(Exception):
-        load_architecture(bad)
-    # and the CLI accepts the config file end to end
-    path = tmp_path / "square4x.json"
-    path.write_text(_json.dumps(config), encoding="utf-8")
-    src = tmp_path / "in.qasm"
-    src.write_text(GOLDEN, encoding="utf-8")
-    assert main(["route", "--arch", str(path), "--input", str(src),
-                 "--output", str(tmp_path / "out.qasm")]) == 0
+
+@pytest.mark.parametrize("param", ["1e999", "1e999-1e999"], ids=["inf", "nan"])
+def test_route_non_finite_parameter_exits_one_without_traceback(param, tmp_path):
+    path = tmp_path / "overflow.qasm"
+    path.write_text(f"OPENQASM 2.0;\nqreg q[1];\nrz({param}) q[0];\n", encoding="utf-8")
+    proc = run_cli("route", "--arch", "square4", "--input", str(path))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "line 3" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_route_verification_failure_exits_two(golden_file, monkeypatch, capsys):

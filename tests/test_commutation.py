@@ -1,7 +1,5 @@
 import random
 
-import pytest
-
 from codar_router import (
     BASELINE_TABLE,
     Gate,
@@ -13,6 +11,9 @@ from codar_router import (
 from codar_router.commutation import (
     ROLE_CONTROL,
     ROLE_SINGLE,
+    ROLE_TARGET,
+    CommutationTable,
+    _entry_commutes_numerically,
     validate_table_numerically,
 )
 
@@ -111,17 +112,39 @@ def test_identical_gates_commute():
     assert not commutes(g, Gate(GateKind.U3, (0,), (0.5, 1.2, 2.0)))
 
 
-def test_table_extension_accepts_sound_entry():
-    # S-dagger against the CX control slot: both diagonal, genuinely commuting.
-    table = BASELINE_TABLE.with_extras([["sdg", ROLE_SINGLE, "cx", ROLE_CONTROL]])
-    assert table.allows((GateKind.SDG, ROLE_SINGLE), (GateKind.CX, ROLE_CONTROL))
+# Entries the dense-matrix check can judge.  SWAP, MEASURE and BARRIER are
+# left out.  The check builds a one-qubit representative for every kind but
+# CX, so it cannot build a SWAP.  MEASURE and BARRIER are not unitary and
+# have no commutator.  The table holds none of the three, so ``commutes``
+# refuses them on a shared qubit, bar an exact repeat of one SWAP.
+CHECKED_ENTRIES = [(kind, role) for kind in GateKind
+                   if kind not in (GateKind.SWAP, GateKind.MEASURE, GateKind.BARRIER)
+                   for role in ((ROLE_CONTROL, ROLE_TARGET) if kind is GateKind.CX
+                                else (ROLE_SINGLE,))]
+H_H = ((GateKind.H, ROLE_SINGLE), (GateKind.H, ROLE_SINGLE))
 
 
-def test_table_extension_rejects_unsound_entry():
-    with pytest.raises(ValueError):
-        BASELINE_TABLE.with_extras([["h", ROLE_SINGLE, "x", ROLE_SINGLE]])
+def test_baseline_table_is_complete():
+    # Every pair that passes the commutator check is in the table, except
+    # (h, h): H has no parameters, so two H on one qubit are the same gate,
+    # which the identical-signature rule already admits.  This is why the
+    # table is fixed rather than extensible per device.
+    missing = [(a, b) for i, a in enumerate(CHECKED_ENTRIES) for b in CHECKED_ENTRIES[i:]
+               if _entry_commutes_numerically(a, b) and not BASELINE_TABLE.allows(a, b)]
+    assert missing == [H_H]
 
 
-def test_table_extension_rejects_measure():
-    with pytest.raises(ValueError):
-        BASELINE_TABLE.with_extras([["measure", ROLE_SINGLE, "z", ROLE_SINGLE]])
+def test_h_h_row_changes_no_front():
+    # Built with the constructor, which runs no check.
+    with_h_h = CommutationTable(BASELINE_TABLE.pairs | {frozenset(H_H)})
+    rng = random.Random(23)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        gates = [random_unitary_gate(rng, n) for _ in range(rng.randint(0, 12))]
+        if gates and rng.random() < 0.3:
+            q = rng.randrange(n)
+            gates.insert(rng.randrange(len(gates)), Gate(GateKind.MEASURE, (q,), cbit=q))
+        assert cf_front(gates, with_h_h) == cf_front(gates, BASELINE_TABLE), \
+            [str(g) for g in gates]
+        lane = [g for g in gates if 0 in g.qubits]
+        assert cf_front(lane, with_h_h, lane=0) == cf_front(lane, BASELINE_TABLE, lane=0)

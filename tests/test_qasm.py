@@ -59,6 +59,15 @@ def test_parameter_expressions():
     assert c.gates[2].params == (0.001,)
 
 
+@pytest.mark.parametrize("param", ["1e999", "1e999-1e999", "0.5,-1e999,0"],
+                         ids=["inf", "nan", "u3-minus-inf"])
+def test_non_finite_parameter_is_a_located_syntax_error(param):
+    gate = "u3" if "," in param else "rz"
+    with pytest.raises(QasmSyntaxError, match="not a finite number") as info:
+        parse_program(f"OPENQASM 2.0;\nqreg q[1];\n{gate}({param}) q[0];\n")
+    assert info.value.line == 3
+
+
 def test_measure_and_barrier_forms():
     c = parse_program(
         "OPENQASM 2.0; qreg q[3]; creg c[3]; barrier q; barrier q[0],q[2]; "
