@@ -18,13 +18,7 @@ from .arch import (
     resolve_architecture,
 )
 from .circuit import Circuit, Gate, GateKind
-from .commutation import (
-    BASELINE_TABLE,
-    CommutationTable,
-    cf_front,
-    commutes,
-    no_predecessor_front,
-)
+from .commutation import cf_front, commutes, no_predecessor_front
 from .qasm import Diagnostic, QasmError, emit_program, parse_file, parse_program, validate
 from .router import (
     Mapping,
@@ -52,7 +46,7 @@ __all__ = [
     "duration_of", "grid_architecture", "load_architecture", "load_architecture_file",
     "preset_architecture", "resolve_architecture",
     "Circuit", "Gate", "GateKind",
-    "BASELINE_TABLE", "CommutationTable", "cf_front", "commutes", "no_predecessor_front",
+    "cf_front", "commutes", "no_predecessor_front",
     "Diagnostic", "QasmError", "emit_program", "parse_file", "parse_program", "validate",
     "Mapping", "RouterConfig", "RoutingResult", "Schedule", "ScheduledGate",
     "TooManyQubitsError", "initial_mapping", "rescore_true_durations", "route",

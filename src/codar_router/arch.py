@@ -66,9 +66,6 @@ class CouplingGraph:
             normalized.add((min(i, j), max(i, j)))
         return CouplingGraph(num_qubits, frozenset(normalized))
 
-    def neighbors(self, q: int) -> list[int]:
-        return self.adjacency()[q]
-
     def adjacency(self) -> list[list[int]]:
         cached = getattr(self, "_adj", None)
         if cached is None:
@@ -119,9 +116,6 @@ class Architecture:
     @property
     def num_qubits(self) -> int:
         return self.graph.num_qubits
-
-    def distance(self, i: int, j: int) -> int:
-        return self.distances[i][j]
 
     @property
     def diameter(self) -> int:

@@ -4,15 +4,17 @@ A gate is commutative-forward within a pending sequence when it commutes with
 every gate before it, which makes it instantly issuable from the software
 point of view even though it is not at the head of the program.
 
-Commutation between same-qubit operations is looked up in a small table keyed
-by (gate kind, operand role).  The table is deliberately sound rather than
-complete: a missing entry only costs look-ahead, while a wrong entry would
-corrupt program semantics, so every positive entry must survive a dense-matrix
-commutator check (see :func:`validate_table_numerically`).
+Commutation on a shared qubit is decided by one key per operand.  The key is
+the family of the operand's (gate kind, operand role) entry when it has one:
+diagonal, X-axis or Y-axis.  Otherwise it is the gate's signature for a
+unitary gate, so only an exact repeat matches it, and ``None`` for MEASURE and
+BARRIER, which match nothing.  Two gates commute on a qubit exactly when their
+keys there are equal and not ``None``.  The rule is deliberately sound rather
+than complete: a missing pair only costs look-ahead, while a wrong one would
+corrupt program semantics, so every same-family pair must survive a
+dense-matrix commutator check (see :func:`validate_table_numerically`).
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .circuit import Gate, GateKind
 
@@ -23,9 +25,8 @@ ROLE_TARGET = "cx_target"
 Entry = tuple[GateKind, str]
 
 _NO_GATES: frozenset[int] = frozenset()
-# Stands for two or more signatures among the marks of one entry on a qubit;
-# it equals no signature.
-_SEVERAL = object()
+# Stands for a qubit with no marks yet in a scan.
+_UNMARKED = object()
 
 
 def role_of(gate: Gate, position: int) -> str:
@@ -33,16 +34,6 @@ def role_of(gate: Gate, position: int) -> str:
     if gate.kind is GateKind.CX:
         return ROLE_CONTROL if position == 0 else ROLE_TARGET
     return ROLE_SINGLE
-
-
-# Every (kind, role) entry a gate can have, numbered once: entry i is bit
-# 1 << i, so a set of entries is an int and a table's adjacency is one mask
-# per entry.
-_ENTRY_BITS: dict[Entry, int] = {
-    entry: 1 << i for i, entry in enumerate(
-        (kind, role) for kind in GateKind
-        for role in ((ROLE_CONTROL, ROLE_TARGET) if kind is GateKind.CX else (ROLE_SINGLE,)))}
-_UNITARY_ENTRIES = sum(bit for (kind, _), bit in _ENTRY_BITS.items() if kind.is_unitary)
 
 
 # Operations diagonal in the computational basis commute with each other on a
@@ -59,152 +50,68 @@ _X_AXIS: tuple[Entry, ...] = (
 _Y_AXIS: tuple[Entry, ...] = (
     (GateKind.Y, ROLE_SINGLE), (GateKind.RY, ROLE_SINGLE),
 )
+_FAMILIES: dict[str, tuple[Entry, ...]] = {
+    "diagonal": _DIAGONAL, "x-axis": _X_AXIS, "y-axis": _Y_AXIS}
+# The key of a family entry is the family's name, which equals no signature.
+_FAMILY_OF: dict[Entry, str] = {
+    entry: name for name, family in _FAMILIES.items() for entry in family}
 
 
-def _family_pairs(family: tuple[Entry, ...]) -> set[frozenset[Entry]]:
-    return {frozenset((a, b)) for a in family for b in family}
+def _keys(gate: Gate) -> tuple[tuple[int, object], ...]:
+    """``((qubit, key), ...)``, one pair per operand (see the module docstring).
+
+    Cached on the gate, like its signature: a routing pass, its reverse pass
+    and the dependency check all scan the same gates.
+    """
+    own = gate.signature() if gate.kind.is_unitary else None
+    keys = tuple((q, _FAMILY_OF.get((gate.kind, role_of(gate, pos)), own))
+                 for pos, q in enumerate(gate.qubits))
+    object.__setattr__(gate, "_keys", keys)
+    return keys
 
 
-@dataclass(frozen=True)
-class CommutationTable:
-    """Symmetric allow-list of same-qubit (kind, role) pairs that commute."""
-
-    pairs: frozenset[frozenset[Entry]]
-
-    def _adjacency(self) -> dict[Entry, frozenset[Entry]]:
-        cached = getattr(self, "_adj", None)
-        if cached is None:
-            adj: dict[Entry, set[Entry]] = {}
-            for pair in self.pairs:
-                items = tuple(pair)
-                a, b = items if len(items) == 2 else (items[0], items[0])
-                adj.setdefault(a, set()).add(b)
-                adj.setdefault(b, set()).add(a)
-            cached = {k: frozenset(v) for k, v in adj.items()}
-            object.__setattr__(self, "_adj", cached)
-        return cached
-
-    def _friend_masks(self) -> dict[int, int]:
-        """Entry bit to the mask of the entries it commutes with, for every entry."""
-        cached = getattr(self, "_masks", None)
-        if cached is None:
-            adj = self._adjacency()
-            cached = {bit: sum(_ENTRY_BITS.get(f, 0) for f in adj.get(entry, ()))
-                      for entry, bit in _ENTRY_BITS.items()}
-            object.__setattr__(self, "_masks", cached)
-        return cached
-
-    def allows(self, a: Entry, b: Entry) -> bool:
-        return b in self._adjacency().get(a, ())
-
-    def entries(self) -> list[tuple[Entry, Entry]]:
-        out = []
-        for pair in self.pairs:
-            items = sorted(pair, key=lambda e: (e[0].value, e[1]))
-            a = items[0]
-            b = items[-1]
-            out.append((a, b))
-        return sorted(out, key=lambda ab: (ab[0][0].value, ab[0][1], ab[1][0].value, ab[1][1]))
-
-
-BASELINE_TABLE = CommutationTable(frozenset(
-    _family_pairs(_DIAGONAL) | _family_pairs(_X_AXIS) | _family_pairs(_Y_AXIS)))
-
-
-def commutes(a: Gate, b: Gate, table: CommutationTable = BASELINE_TABLE) -> bool:
-    """True when the table can prove the two gates commute.
+def commutes(a: Gate, b: Gate) -> bool:
+    """True when the two gates' keys are equal and not ``None`` on every shared qubit.
 
     Disjoint-qubit gates always commute; identical unitary gates commute with
     themselves; BARRIER and MEASURE commute with nothing they touch.  The
     result is symmetric in its arguments and errs toward False.
     """
-    shared = set(a.qubits) & set(b.qubits)
-    if not shared:
-        return True
-    if GateKind.BARRIER in (a.kind, b.kind):
-        return False
-    if a.signature() == b.signature() and a.kind.is_unitary:
-        return True
-    for q in shared:
-        entry_a = (a.kind, role_of(a, a.qubits.index(q)))
-        entry_b = (b.kind, role_of(b, b.qubits.index(q)))
-        if not table.allows(entry_a, entry_b):
+    keys_b = dict(getattr(b, "_keys", None) or _keys(b))
+    for q, key in getattr(a, "_keys", None) or _keys(a):
+        if q in keys_b and (key is None or key != keys_b[q]):
             return False
     return True
 
 
-def _lane_record(gate: Gate, table: CommutationTable) -> tuple:
-    """``(table, signature, is_unitary, ((qubit, entry_bit, friend_mask), ...))``.
-
-    What :func:`cf_front` needs of a gate, one triple per operand.  Cached on
-    the gate, like its signature, for the table it was built for: a routing
-    pass, its reverse pass and the dependency check all scan the same gates.
-    """
-    masks = table._friend_masks()
-    entries = []
-    for pos, q in enumerate(gate.qubits):
-        bit = _ENTRY_BITS[(gate.kind, role_of(gate, pos))]
-        entries.append((q, bit, masks[bit]))
-    record = (table, gate.signature(), gate.kind.is_unitary, tuple(entries))
-    object.__setattr__(gate, "_lane_record", record)
-    return record
-
-
-def cf_front(gates, table: CommutationTable = BASELINE_TABLE, *,
-             lane: int | None = None) -> set[int]:
+def cf_front(gates, *, lane: int | None = None) -> set[int]:
     """Indices of gates commuting with everything before them in the list.
 
-    One linear pass over the gates' cached lane records (see
-    :func:`_lane_record`).  Each qubit keeps ``present``, the int mask of the
-    table entries of the gates seen so far on it, and per entry the signature
-    those marks share (or ``_SEVERAL``).  A gate passes a qubit when
-    ``present & ~friends`` is 0 for its entry's friend mask there, or when
-    that value is its own entry bit, it is unitary and every mark of its
-    entry is this very operation: equal signatures mean the same entry on a
-    shared qubit, so this is the table rule exactly.  A gate is CF when it
+    One linear pass over the gates' cached keys.  Each qubit keeps the key
+    that all its marks share, or ``None`` once two keys differ or one is
+    ``None``.  A gate passes a qubit when the qubit has no marks yet, or when
+    its key there is not ``None`` and equals the kept key; it is CF when it
     passes all its qubits.
 
     ``lane`` names a qubit that every gate of the list touches, as in the
-    lanes of a :class:`LaneFrontier`.  The pass then stops as soon as the
-    marks on that qubit admit no further gate, since no later gate can be CF:
-    no entry is friendly to every mark, and no repeat of a mark can pass.
+    lanes of a :class:`LaneFrontier`.  The pass then stops as soon as that
+    qubit's kept key is ``None``, since no later gate can pass it.
     """
     front: set[int] = set()
-    present: dict[int, int] = {}
-    # Per qubit and entry bit: the one signature of those marks, or _SEVERAL.
-    marks: dict[int, dict[int, object]] = {}
-    # Entries friendly to every mark on the lane qubit; all of them before the first.
-    open_entries = -1
+    kept: dict[int, object] = {}
     for k, gate in enumerate(gates):
-        record = getattr(gate, "_lane_record", None)
-        if record is None or record[0] is not table:
-            record = _lane_record(gate, table)
-        _, sig, unitary, entries = record
-        # BARRIER and MEASURE need no special casing: they have no friends
-        # and are non-unitary, so any shared-qubit mark blocks them and their
-        # marks block everyone.
-        for q, bit, friends in entries:
-            blocking = present.get(q, 0) & ~friends
-            if blocking and not (blocking == bit and unitary and marks[q][bit] == sig):
-                break
-        else:
+        passes = True
+        for q, key in getattr(gate, "_keys", None) or _keys(gate):
+            held = kept.get(q, _UNMARKED)
+            if held is _UNMARKED:
+                kept[q] = key
+            elif key is None or held != key:
+                kept[q] = None
+                passes = False
+        if passes:
             front.add(k)
-        for q, bit, friends in entries:
-            qpresent = present[q] = present.get(q, 0) | bit
-            qmarks = marks.get(q)
-            if qmarks is None:
-                qmarks = marks[q] = {bit: sig}
-            elif qmarks.setdefault(bit, sig) != sig:
-                qmarks[bit] = _SEVERAL
-            if q == lane:
-                open_entries &= friends
-                if not open_entries:
-                    # Some repeat may still pass: a unitary mark whose entry
-                    # is the only one unfriendly to it, with one signature.
-                    masks = table._friend_masks()
-                    if not any(mark & _UNITARY_ENTRIES and qpresent & ~masks[mark] == mark
-                               and only is not _SEVERAL for mark, only in qmarks.items()):
-                        return front
+        if kept.get(lane, _UNMARKED) is None:
+            return front
     return front
 
 
@@ -229,7 +136,7 @@ class LaneFrontier:
     lanes.  Removing gates rescans only the lanes they sat in.
 
     ``front_of(gates, qubit)`` maps the gates of a qubit's lane to the lane
-    positions in its front, e.g. ``cf_front(gates, table, lane=qubit)``.
+    positions in its front, e.g. ``cf_front(gates, lane=qubit)``.
     """
 
     def __init__(self, gates, front_of):
@@ -330,11 +237,11 @@ def _entry_commutes_numerically(a: Entry, b: Entry) -> bool:
     return True
 
 
-def validate_table_numerically(
-        table: CommutationTable = BASELINE_TABLE) -> list[tuple[Entry, Entry]]:
-    """Return the table entries that FAIL the dense-matrix commutator oracle.
+def validate_table_numerically() -> list[tuple[Entry, Entry]]:
+    """Return the same-family entry pairs that FAIL the dense-matrix commutator oracle.
 
-    An empty list certifies soundness of every positive entry.
+    An empty list certifies soundness of every family.
     """
-    return [(a, b) for a, b in table.entries()
+    return [(a, b) for family in _FAMILIES.values()
+            for i, a in enumerate(family) for b in family[i:]
             if not _entry_commutes_numerically(a, b)]

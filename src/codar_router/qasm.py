@@ -440,6 +440,9 @@ def validate(circuit: Circuit, arch_qubits: int) -> list[Diagnostic]:
                 "BadParams",
                 f"{gate.kind.value} takes {gate.kind.num_params} parameter(s), got {len(gate.params)}",
                 i))
+        if not all(map(math.isfinite, gate.params)):
+            out.append(Diagnostic(
+                "BadParams", f"{gate.kind.value} parameter is not a finite number", i))
         if gate.kind is GateKind.MEASURE and gate.cbit is not None and gate.cbit < 0:
             out.append(Diagnostic("BadParams", "negative classical bit", i))
     return out

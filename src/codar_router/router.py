@@ -76,14 +76,6 @@ class Mapping:
     def num_physical(self) -> int:
         return len(self.inv)
 
-    def physical(self, logical: int) -> int:
-        return self.fwd[logical]
-
-    def inverse(self) -> list[int]:
-        """Physical-to-logical array; -1 marks an unoccupied physical qubit."""
-        n = self.num_logical
-        return [logical if logical < n else -1 for logical in self.inv]
-
     def swap(self, i: int, j: int) -> None:
         """Exchange the occupants of physical qubits ``i`` and ``j``."""
         a, b = self.inv[i], self.inv[j]

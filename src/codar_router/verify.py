@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import Circuit, Gate, GateKind
-from .commutation import BASELINE_TABLE, CommutationTable, LaneFrontier, cf_front
+from .commutation import LaneFrontier, cf_front, commutes
 from .router import Mapping, Schedule, ScheduledGate
 
 ORACLE_QUBIT_LIMIT = 10
@@ -166,8 +166,8 @@ def replay_schedule(items: list[ScheduledGate], init: Mapping) -> ReplayResult:
 
 # --- dependency check -----------------------------------------------------
 
-def _is_commuting_reordering(original: list[Gate], candidate: list[Gate],
-                             table: CommutationTable) -> tuple[bool, list[str]]:
+def _is_commuting_reordering(original: list[Gate],
+                             candidate: list[Gate]) -> tuple[bool, list[str]]:
     """Is ``candidate`` reachable from ``original`` by adjacent commuting swaps?
 
     Each candidate gate is matched to the earliest unused source gate with the
@@ -179,7 +179,7 @@ def _is_commuting_reordering(original: list[Gate], candidate: list[Gate],
     buckets: dict[tuple, list[int]] = defaultdict(list)
     for i, gate in enumerate(original):
         buckets[gate.signature()].append(i)
-    frontier = LaneFrontier(original, lambda gates, q: cf_front(gates, table, lane=q))
+    frontier = LaneFrontier(original, lambda gates, q: cf_front(gates, lane=q))
     cursor: dict[tuple, int] = defaultdict(int)
     for k, gate in enumerate(candidate):
         sig = gate.signature()
@@ -189,11 +189,10 @@ def _is_commuting_reordering(original: list[Gate], candidate: list[Gate],
             return False, [f"extra or missing gate at position {k}: {gate}"]
         idx = queue[pos]
         if idx not in frontier.front:
-            # The earliest unused source gate that keeps it out of the front,
-            # by the front's own rule applied to the pair.
+            # The earliest unused source gate that keeps it out of the front.
             source = original[idx]
             blocker = min(j for q in source.qubits for j in frontier.lane(q)
-                          if j < idx and 1 not in cf_front([original[j], source], table))
+                          if j < idx and not commutes(original[j], source))
             return False, [
                 f"{gate} at position {k} jumped before non-commuting {original[blocker]}"]
         cursor[sig] = pos + 1
@@ -236,8 +235,7 @@ def dependency_equivalence(original: Circuit, schedule: Schedule) -> Equivalence
     details = list(replay.violations)
     if replay.final_mapping != schedule.final_mapping:
         details.append("replayed SWAPs do not reproduce the reported final mapping")
-    ok, problems = _is_commuting_reordering(list(original.gates), replay.logical_gates,
-                                            BASELINE_TABLE)
+    ok, problems = _is_commuting_reordering(list(original.gates), replay.logical_gates)
     details.extend(problems)
     return EquivalenceReport(dependency_ok=ok and not details, details=details)
 

@@ -123,7 +123,7 @@ def random_unitary_gate(rng, num_qubits: int) -> Gate:
     """Random gate whose commutation is palette-safe for the oracle.
 
     Angles come from a fixed generic set so no pair commutes accidentally in a
-    way the library's kind/role table cannot see.
+    way the kind/role commutation rule cannot see.
     """
     roll = rng.random()
     if roll < 0.35 and num_qubits >= 2:
@@ -142,36 +142,44 @@ def random_unitary_gate(rng, num_qubits: int) -> Gate:
 # --- full-list frontier scan and DAG dependency check ---------------------
 # The implementations the lane frontier (codar_router.commutation) and the
 # dependency check built on it (codar_router.verify) replaced, kept as slow
-# references: no early exit, no lanes, and commutes() on every pair.
+# references: no early exit, no lanes, and a pairwise commutation test on
+# every pair, written here from the rule's definition.
 
-def _role(gate: Gate, position: int) -> str:
-    if gate.kind is GateKind.CX:
-        return "cx_control" if position == 0 else "cx_target"
-    return "single"
+# Slots, as (kind, operand position), that commute with each other on a
+# shared qubit: the diagonal family with the CX control, the X family with
+# the CX target, and the Y family.
+_FAMILIES = (
+    {(GateKind.Z, 0), (GateKind.S, 0), (GateKind.SDG, 0), (GateKind.T, 0),
+     (GateKind.TDG, 0), (GateKind.RZ, 0), (GateKind.U1, 0), (GateKind.CX, 0)},
+    {(GateKind.X, 0), (GateKind.RX, 0), (GateKind.CX, 1)},
+    {(GateKind.Y, 0), (GateKind.RY, 0)},
+)
 
 
-def cf_front_reference(gates, table) -> set[int]:
-    """The CF front by one full pass over the list, with no early exit."""
-    adjacency = table._adjacency()
-    front: set[int] = set()
-    marks: dict[int, set] = {}
-    for k, gate in enumerate(gates):
-        sig = gate.signature()
-        unitary = gate.kind.is_unitary
-        ok = True
-        for pos, q in enumerate(gate.qubits):
-            friends = adjacency.get((gate.kind, _role(gate, pos)), frozenset())
-            for mark_entry, mark_sig in marks.get(q, ()):
-                if mark_entry not in friends and not (mark_sig == sig and unitary):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            front.add(k)
-        for pos, q in enumerate(gate.qubits):
-            marks.setdefault(q, set()).add(((gate.kind, _role(gate, pos)), sig))
-    return front
+def commutes_reference(a: Gate, b: Gate) -> bool:
+    """Do ``a`` and ``b`` commute on every qubit they share?
+
+    Identical unitary gates do; otherwise both slots on each shared qubit must
+    lie in one family.  Measure and barrier commute with nothing they touch.
+    """
+    shared = set(a.qubits) & set(b.qubits)
+    if not shared:
+        return True
+    if a.kind.is_unitary and a.signature() == b.signature():
+        return True
+    for q in shared:
+        slot_a = (a.kind, a.qubits.index(q))
+        slot_b = (b.kind, b.qubits.index(q))
+        if not any(slot_a in family and slot_b in family for family in _FAMILIES):
+            return False
+    return True
+
+
+def cf_front_reference(gates) -> set[int]:
+    """The CF front by testing every pair, with no early exit."""
+    gates = list(gates)
+    return {k for k, gate in enumerate(gates)
+            if all(commutes_reference(earlier, gate) for earlier in gates[:k])}
 
 
 def no_predecessor_front_reference(gates) -> set[int]:
@@ -185,22 +193,20 @@ def no_predecessor_front_reference(gates) -> set[int]:
     return front
 
 
-def dependency_preds_reference(gates, table) -> list[list[int]]:
+def dependency_preds_reference(gates) -> list[list[int]]:
     """For each gate, the earlier gates it must stay behind (non-commuting)."""
-    from codar_router import commutes
-
     per_qubit: dict[int, list[int]] = {}
     preds: list[set[int]] = [set() for _ in gates]
     for i, gate in enumerate(gates):
         for q in gate.qubits:
             for j in per_qubit.get(q, []):
-                if not commutes(gates[j], gate, table):
+                if not commutes_reference(gates[j], gate):
                     preds[i].add(j)
             per_qubit.setdefault(q, []).append(i)
     return [sorted(p) for p in preds]
 
 
-def is_commuting_reordering_reference(original, candidate, table) -> bool:
+def is_commuting_reordering_reference(original, candidate) -> bool:
     """Is ``candidate`` a linear extension of ``original``'s non-commutation DAG?
 
     Each candidate gate is matched to the earliest unused source gate with the
@@ -211,7 +217,7 @@ def is_commuting_reordering_reference(original, candidate, table) -> bool:
     buckets: dict[tuple, list[int]] = {}
     for i, gate in enumerate(original):
         buckets.setdefault(gate.signature(), []).append(i)
-    preds = dependency_preds_reference(original, table)
+    preds = dependency_preds_reference(original)
     placed: set[int] = set()
     cursor: dict[tuple, int] = {}
     for gate in candidate:
@@ -236,14 +242,14 @@ def candidate_swaps_reference(cf_gates, mapping, locks: list[int], t: int,
     fwd = mapping.forward
     endpoints: set[int] = set()
     for gate in cf_gates:
-        if gate.kind in (GateKind.CX, GateKind.SWAP) and arch.distance(
-                fwd[gate.qubits[0]], fwd[gate.qubits[1]]) != 1:
+        if gate.kind in (GateKind.CX, GateKind.SWAP) and arch.distances[
+                fwd[gate.qubits[0]]][fwd[gate.qubits[1]]] != 1:
             endpoints.update(fwd[q] for q in gate.qubits)
     found: set[tuple[int, int]] = set()
     for p in endpoints:
         if locks[p] > t:
             continue
-        for m in arch.graph.neighbors(p):
+        for m in arch.graph.adjacency()[p]:
             if locks[m] <= t:
                 found.add((min(p, m), max(p, m)))
     return sorted(found)

@@ -25,9 +25,9 @@ from oracles import floyd_warshall
 
 
 def test_square4_distances(square4):
-    assert square4.distance(0, 3) == 2
-    assert square4.distance(0, 1) == 1
-    assert all(square4.distance(i, i) == 0 for i in range(4))
+    assert square4.distances[0][3] == 2
+    assert square4.distances[0][1] == 1
+    assert all(square4.distances[i][i] == 0 for i in range(4))
 
 
 def test_path_graph_distance():
@@ -129,10 +129,10 @@ def test_resolve_grid_spec():
 
 def test_demo6_layout(demo6):
     # 2x3 tile: q3 must neighbor exactly {1, 2, 5}; q0 and q3 sit two hops apart.
-    assert demo6.graph.neighbors(3) == [1, 2, 5]
-    assert demo6.distance(0, 3) == 2
-    assert demo6.distance(0, 1) == 1
-    assert demo6.distance(0, 5) == 3
+    assert demo6.graph.adjacency()[3] == [1, 2, 5]
+    assert demo6.distances[0][3] == 2
+    assert demo6.distances[0][1] == 1
+    assert demo6.distances[0][5] == 3
 
 
 def test_distances_match_floyd_warshall_randomized():

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 import codar_router.router as router_module
 from codar_router import (
-    BASELINE_TABLE,
     Circuit,
     Gate,
     GateKind,
@@ -23,7 +22,7 @@ from codar_router import (
     preset_architecture,
     route,
 )
-from codar_router.commutation import CommutationTable, LaneFrontier
+from codar_router.commutation import LaneFrontier
 from codar_router.router import _SwapSearch
 from codar_router.verify import _is_commuting_reordering, dependency_equivalence, replay_schedule
 
@@ -37,29 +36,6 @@ from oracles import (
     swap_scores_reference,
 )
 
-
-def unchecked_table(rows) -> CommutationTable:
-    """The baseline plus ``[kindA, roleA, kindB, roleB]`` rows, none of them checked.
-
-    Built with the constructor, which runs no dense-matrix commutator check.
-    """
-    return CommutationTable(BASELINE_TABLE.pairs | {
-        frozenset(((GateKind(a), role_a), (GateKind(b), role_b)))
-        for a, role_a, b, role_b in rows})
-
-
-# Rows no dense-matrix check would pass: H commuting with itself, with Z and
-# with U3, X with the CX control slot.  The frontier must stay exact anyway.
-UNVALIDATED = unchecked_table([
-    ["h", "single", "h", "single"],
-    ["h", "single", "z", "single"],
-    ["h", "single", "u3", "single"],
-    ["x", "single", "cx", "cx_control"],
-])
-# H against U3 only: neither is friendly to itself, so two such marks leave
-# a qubit open to repeats of either gate alone.
-MUTUAL = unchecked_table([["h", "single", "u3", "single"]])
-TABLES = (BASELINE_TABLE, UNVALIDATED, MUTUAL)
 
 ARCHS = (preset_architecture("square4"), preset_architecture("demo6"), grid_architecture(3, 3))
 U3_ANGLES = ((0.4, 1.2, 2.0), (0.5, 1.2, 2.0))
@@ -85,9 +61,9 @@ def random_gates(rng: random.Random, num_qubits: int, count: int) -> list[Gate]:
     return gates
 
 
-def lane_front_of(table, commutativity_on: bool):
+def lane_front_of(commutativity_on: bool):
     if commutativity_on:
-        return lambda gates, q: cf_front(gates, table, lane=q)
+        return lambda gates, q: cf_front(gates, lane=q)
     return lambda gates, q: no_predecessor_front(gates)
 
 
@@ -97,29 +73,28 @@ def test_lane_frontier_matches_full_rescan(seed):
     rng = random.Random(seed)
     n = rng.randint(1, 5)
     gates = random_gates(rng, n, rng.randint(0, 40))
-    for table in TABLES:
-        for commutativity_on in (True, False):
-            frontier = LaneFrontier(gates, lane_front_of(table, commutativity_on))
-            remaining = list(range(len(gates)))
-            while True:
-                rest = [gates[i] for i in remaining]
-                expected = (cf_front_reference(rest, table) if commutativity_on
-                            else no_predecessor_front_reference(rest))
-                assert frontier.front == {remaining[k] for k in expected}
-                for q in range(n):
-                    assert frontier.lane(q) == [i for i in remaining if q in gates[i].qubits]
-                if not remaining:
-                    break
-                # Mostly launch-like rounds from the front; sometimes any gates.
-                pool = sorted(frontier.front) if frontier.front and rng.random() < 0.75 else remaining
-                batch = rng.sample(pool, rng.randint(1, min(3, len(pool))))
-                before = set(frontier.front)
-                entered = frontier.remove(batch)
-                # No remaining gate leaves the front, so the entrants are the
-                # whole change.
-                assert before - set(batch) <= frontier.front
-                assert entered == frontier.front - before
-                remaining = [i for i in remaining if i not in batch]
+    for commutativity_on in (True, False):
+        frontier = LaneFrontier(gates, lane_front_of(commutativity_on))
+        remaining = list(range(len(gates)))
+        while True:
+            rest = [gates[i] for i in remaining]
+            expected = (cf_front_reference(rest) if commutativity_on
+                        else no_predecessor_front_reference(rest))
+            assert frontier.front == {remaining[k] for k in expected}
+            for q in range(n):
+                assert frontier.lane(q) == [i for i in remaining if q in gates[i].qubits]
+            if not remaining:
+                break
+            # Mostly launch-like rounds from the front; sometimes any gates.
+            pool = sorted(frontier.front) if frontier.front and rng.random() < 0.75 else remaining
+            batch = rng.sample(pool, rng.randint(1, min(3, len(pool))))
+            before = set(frontier.front)
+            entered = frontier.remove(batch)
+            # No remaining gate leaves the front, so the entrants are the
+            # whole change.
+            assert before - set(batch) <= frontier.front
+            assert entered == frontier.front - before
+            remaining = [i for i in remaining if i not in batch]
 
 
 @given(st.integers(0, 10_000))
@@ -130,23 +105,13 @@ def test_cf_front_early_exit_matches_full_scan(seed):
     gates = random_gates(rng, n, rng.randint(0, 30))
     q = rng.randrange(n)
     lane = [g for g in gates if q in g.qubits]
-    for table in TABLES:
-        assert cf_front(gates, table) == cf_front_reference(gates, table)
-        assert cf_front(lane, table, lane=q) == cf_front_reference(lane, table)
+    assert cf_front(gates) == cf_front_reference(gates)
+    assert cf_front(lane, lane=q) == cf_front_reference(lane)
     assert no_predecessor_front(gates) == no_predecessor_front_reference(gates)
 
 
-def test_cf_front_stops_only_when_the_lane_qubit_is_closed():
-    h, u3 = Gate(GateKind.H, (0,)), Gate(GateKind.U3, (0,), U3_ANGLES[0])
-    # H and U3 commute in MUTUAL, yet neither with itself at another angle.
-    assert cf_front([h, u3, h, u3, h], MUTUAL, lane=0) == {0, 1, 2, 3, 4}
-    other, x = Gate(GateKind.U3, (0,), U3_ANGLES[1]), Gate(GateKind.X, (0,))
-    assert cf_front([h, u3, other, h], MUTUAL, lane=0) == {0, 1, 3}
-    assert cf_front([h, u3, other, x, h], MUTUAL, lane=0) == {0, 1}
-
-
 def test_cf_front_reads_a_lane_only_up_to_where_it_closes():
-    def gates_read(gates, table=BASELINE_TABLE) -> int:
+    def gates_read(gates) -> int:
         read = []
 
         def lane():
@@ -154,7 +119,7 @@ def test_cf_front_reads_a_lane_only_up_to_where_it_closes():
                 read.append(gate)
                 yield gate
 
-        cf_front(lane(), table, lane=0)
+        cf_front(lane(), lane=0)
         return len(read)
 
     h, x, t = Gate(GateKind.H, (0,)), Gate(GateKind.X, (0,)), Gate(GateKind.T, (0,))
@@ -167,7 +132,6 @@ def test_cf_front_reads_a_lane_only_up_to_where_it_closes():
     assert gates_read([measure, measure, t]) == 1
     u3, other = (Gate(GateKind.U3, (0,), angles) for angles in U3_ANGLES)
     assert gates_read([u3, u3, other, u3]) == 3
-    assert gates_read([h, u3, other, x, h], MUTUAL) == 4
 
 
 def test_repeat_passes_only_past_marks_of_its_own_signature():
@@ -179,17 +143,15 @@ def test_repeat_passes_only_past_marks_of_its_own_signature():
     assert cf_front([u3, u3, swap01, swap01], lane=0) == {0, 1}
 
 
-def check_verdict(original, candidate, table) -> bool:
-    ok, _ = _is_commuting_reordering(original, candidate, table)
-    assert ok == is_commuting_reordering_reference(original, candidate, table)
+def check_verdict(original, candidate) -> bool:
+    ok, _ = _is_commuting_reordering(original, candidate)
+    assert ok == is_commuting_reordering_reference(original, candidate)
     return ok
 
 
 @given(st.integers(0, 10_000))
 @settings(max_examples=60, deadline=None)
 def test_dependency_check_matches_reference_on_routed_and_corrupted(seed):
-    # The router uses the baseline table; every table in TABLES contains it,
-    # so the routed order is a commuting reordering under each of them.
     rng = random.Random(seed)
     arch = rng.choice(ARCHS)
     n = rng.randint(2, arch.num_qubits)
@@ -211,18 +173,17 @@ def test_dependency_check_matches_reference_on_routed_and_corrupted(seed):
             k = rng.randrange(len(shuffled) - 1)
             shuffled[k], shuffled[k + 1] = shuffled[k + 1], shuffled[k]
 
-    for table in TABLES:
-        assert check_verdict(original, logical, table)
-        if dropped is not None:
-            check_verdict(original, dropped.logical_gates, table)
-        exchanged = [k for k in range(len(logical) - 1)
-                     if logical[k].signature() != logical[k + 1].signature()
-                     and not commutes(logical[k], logical[k + 1], table)]
-        if exchanged:
-            k = rng.choice(exchanged)
-            bad = logical[:k] + [logical[k + 1], logical[k]] + logical[k + 2:]
-            assert not check_verdict(original, bad, table)
-        check_verdict(original, shuffled, table)
+    assert check_verdict(original, logical)
+    if dropped is not None:
+        check_verdict(original, dropped.logical_gates)
+    exchanged = [k for k in range(len(logical) - 1)
+                 if logical[k].signature() != logical[k + 1].signature()
+                 and not commutes(logical[k], logical[k + 1])]
+    if exchanged:
+        k = rng.choice(exchanged)
+        bad = logical[:k] + [logical[k + 1], logical[k]] + logical[k + 2:]
+        assert not check_verdict(original, bad)
+    check_verdict(original, shuffled)
 
 
 def dependency_details(source: list[GateKind], candidate: list[GateKind]) -> list[str]:
@@ -287,9 +248,10 @@ def test_swap_search_state_matches_search_from_scratch():
                      for _ in range(num_physical)]
 
             cf_gates = [gates[seq] for seq in sorted(front)]
+            fwd = placement.fwd
             blocked = [seq for seq in sorted(front)
                        if gates[seq].kind is not GateKind.H
-                       and arch.distance(*(placement.fwd[q] for q in gates[seq].qubits)) != 1]
+                       and arch.distances[fwd[gates[seq].qubits[0]]][fwd[gates[seq].qubits[1]]] != 1]
             assert search.blocked == set(blocked)
             assert set(search.endpoints) == {placement.fwd[q] for seq in blocked
                                              for q in gates[seq].qubits}

@@ -167,7 +167,8 @@ def test_mapping_replay_reaches_final(seed):
     circ = random_circuit(rng, rng.randint(1, arch.num_qubits))
     result = route(circ, arch)
     placement = Mapping.identity(circ.num_qubits, arch.num_qubits)
-    inv = placement.inverse()
+    n = placement.num_logical
+    inv = [logical if logical < n else -1 for logical in placement.inv]
     fwd = list(placement.forward)
     for item in result.schedule.items:
         if item.inserted:

@@ -2,7 +2,16 @@ import math
 
 import pytest
 
-from codar_router import Circuit, Gate, GateKind, emit_program, parse_program, validate
+from codar_router import (
+    Circuit,
+    Gate,
+    GateKind,
+    emit_program,
+    parse_program,
+    preset_architecture,
+    route,
+    validate,
+)
 from codar_router.qasm import (
     DuplicateOperandError,
     MultipleQregError,
@@ -10,6 +19,7 @@ from codar_router.qasm import (
     QubitOutOfRangeError,
     UnknownGateError,
 )
+from codar_router.router import InvalidCircuitError
 
 
 def test_single_statement_program():
@@ -158,6 +168,16 @@ def test_validate_bad_params():
     c = Circuit(2)
     c.gates.append(Gate(GateKind.RZ, (0,), ()))
     assert "BadParams" in [d.code for d in validate(c, 2)]
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_validate_non_finite_param_from_the_api(value):
+    # The parser refuses these in text; a gate built in code reaches validate.
+    c = Circuit(1)
+    c.gates.append(Gate(GateKind.RZ, (0,), (value,)))
+    assert [(d.code, d.gate_index) for d in validate(c, 4)] == [("BadParams", 0)]
+    with pytest.raises(InvalidCircuitError, match="rz parameter is not a finite number"):
+        route(c, preset_architecture("square4"))
 
 
 def test_validate_duplicate_and_range():

@@ -144,7 +144,7 @@ def test_initial_mapping_rejects_unknown_policy_on_empty_circuit(square4):
 def test_reverse_pass_brings_interaction_adjacent(square4):
     circ = Circuit(4).t(1).cx(0, 3)
     m = initial_mapping(circ, square4, "reverse_pass")
-    assert square4.distance(m.physical(0), m.physical(3)) == 1
+    assert square4.distances[m.fwd[0]][m.fwd[3]] == 1
 
 
 def test_too_many_qubits(square4):
@@ -165,19 +165,24 @@ def test_route_rejects_bad_initial_mapping(square4, forward, num_physical, messa
         route(Circuit(2).cx(0, 1), square4, Mapping(forward, num_physical))
 
 
+def occupants(mapping: Mapping) -> list[int]:
+    """Physical-to-logical list; -1 marks a qubit that holds no program qubit."""
+    return [logical if logical < mapping.num_logical else -1 for logical in mapping.inv]
+
+
 def test_mapping_swap_updates_both_directions_and_ignores_ancillas():
     mapping = Mapping([2, 0], 5)  # physical 1, 3 and 4 hold no program qubit
     before = mapping.copy()
-    assert mapping.inverse() == [1, -1, 0, -1, -1]
+    assert occupants(mapping) == [1, -1, 0, -1, -1]
     fwd = list(mapping.fwd)
     mapping.swap(3, 4)
     assert mapping.fwd != fwd  # the two ancillas traded places ...
     assert mapping == before  # ... which carries no program state
     mapping.swap(0, 1)  # program qubit 1 onto an unoccupied qubit
-    assert mapping.forward == [2, 1] and mapping.inverse() == [-1, 1, 0, -1, -1]
+    assert mapping.forward == [2, 1] and occupants(mapping) == [-1, 1, 0, -1, -1]
     assert mapping != before
     mapping.swap(0, 1)
-    assert mapping == before and mapping.inverse() == [1, -1, 0, -1, -1]
+    assert mapping == before and occupants(mapping) == [1, -1, 0, -1, -1]
     for phys, logical in enumerate(mapping.inv):
         assert mapping.fwd[logical] == phys
 
@@ -256,7 +261,7 @@ def test_measure_keeps_original_classical_bit(square4):
     assert len(measures) == 1
     assert measures[0].cbit == 3
     final = result.schedule.final_mapping
-    assert measures[0].qubits == (final.physical(3),)
+    assert measures[0].qubits == (final.fwd[3],)
 
 
 def test_swap_with_unoccupied_physical_qubit():
@@ -267,8 +272,7 @@ def test_swap_with_unoccupied_physical_qubit():
     result = route(circ, arch, init)
     report_gates = [it.gate for it in result.schedule.items]
     assert any(g.kind is GateKind.SWAP for g in report_gates)
-    inv = result.schedule.final_mapping.inverse()
-    assert inv.count(-1) == 1  # one physical qubit still unoccupied
+    assert occupants(result.schedule.final_mapping).count(-1) == 1  # one physical qubit still unoccupied
 
 
 def test_forced_move_counts_stall_event(tune_router):
