@@ -49,6 +49,13 @@ def _load_circuit(path: Path) -> Circuit:
     return parse_program(text)
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise SystemExit(f"error: cannot write {path}: {exc.strerror}") from None
+
+
 def build_report(name: str, arch: Architecture, result: RoutingResult,
                  original: Circuit, cfg: RouterConfig, init_policy: str,
                  oracle: str, wall_time_ms: float) -> dict:
@@ -108,12 +115,11 @@ def run_route(args) -> int:
 
     routed_text = emit_program(result.routed, decompose_swap=args.decompose_swap)
     if args.output:
-        Path(args.output).write_text(routed_text, encoding="utf-8")
+        _write_text(args.output, routed_text)
     else:
         sys.stdout.write(routed_text)
     if args.report:
-        Path(args.report).write_text(
-            json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        _write_text(args.report, json.dumps(report, sort_keys=True, indent=2) + "\n")
 
     eq = report["equivalence"]
     summary = (f"{path.stem} on {arch.name}: depth={report['weighted_depth']} "
@@ -213,12 +219,11 @@ def run_bench(args) -> int:
     table = bench_corpus(corpus, archs, init_policy)
     csv_text = comparison_csv(table)
     if args.out_csv:
-        Path(args.out_csv).write_text(csv_text, encoding="utf-8")
+        _write_text(args.out_csv, csv_text)
     else:
         sys.stdout.write(csv_text)
     if args.out_json:
-        Path(args.out_json).write_text(
-            json.dumps(table, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        _write_text(args.out_json, json.dumps(table, sort_keys=True, indent=2) + "\n")
     for arch_name, mean in table["mean_ratio_by_arch"].items():
         print(f"{arch_name}: mean speedup ratio {mean} over "
               f"{sum(1 for r in table['rows'] if r['arch'] == arch_name)} circuits",

@@ -12,7 +12,7 @@ BARRIER, which match nothing.  Two gates commute on a qubit exactly when their
 keys there are equal and not ``None``.  The rule is deliberately sound rather
 than complete: a missing pair only costs look-ahead, while a wrong one would
 corrupt program semantics, so every same-family pair must survive a
-dense-matrix commutator check (see :func:`validate_table_numerically`).
+dense-matrix commutator check; the tests run one.
 """
 from __future__ import annotations
 
@@ -24,7 +24,6 @@ ROLE_TARGET = "cx_target"
 
 Entry = tuple[GateKind, str]
 
-_NO_GATES: frozenset[int] = frozenset()
 # Stands for a qubit with no marks yet in a scan.
 _UNMARKED = object()
 
@@ -132,11 +131,17 @@ class LaneFrontier:
     The lane of a qubit is the ordered list of remaining gates that touch it.
     A gate commutes with every earlier gate sharing a qubit exactly when, for
     each qubit it touches, it does so within that qubit's lane, so a gate is
-    in the front when ``front_of`` puts it in the front of every one of its
-    lanes.  Removing gates rescans only the lanes they sat in.
+    in the front when every one of its lanes' fronts holds it.
 
     ``front_of(gates, qubit)`` maps the gates of a qubit's lane to the lane
-    positions in its front, e.g. ``cf_front(gates, lane=qubit)``.
+    positions in its front, e.g. ``cf_front(gates, lane=qubit)``.  For the
+    gates :func:`~codar_router.qasm.validate` accepts, such a front is a
+    *run*: the lane's first positions, here the gates whose key on the lane's
+    qubit equals the head's.  So the frontier keeps one count per lane, the
+    length of its run, and one per gate, the number of its lanes whose runs
+    do not hold it yet; a gate is in the front when that count is 0.
+    Removing gates of a run only shortens it, so a lane goes back through
+    ``front_of`` only when its run empties or a removed gate sat past it.
     """
 
     def __init__(self, gates, front_of):
@@ -148,10 +153,11 @@ class LaneFrontier:
             for q in dict.fromkeys(gate.qubits):
                 self._lanes.setdefault(q, []).append(i)
                 self._lane_gates.setdefault(q, []).append(gate)
-        self._lane_front: dict[int, set[int]] = {}
+        self._run = dict.fromkeys(self._lanes, 0)
+        self._outside = [len(set(gate.qubits)) for gate in gates]
         #: Indices, into the gate list, of the remaining gates in the front.
         self.front: set[int] = {i for i, gate in enumerate(gates) if not gate.qubits}
-        self._update(self._rescan(self._lanes))
+        self.front |= self._extend(self._lanes)
 
     def lane(self, qubit: int) -> list[int]:
         """Indices of the remaining gates on ``qubit``, in list order."""
@@ -164,84 +170,33 @@ class LaneFrontier:
         removes marks from lanes, so no remaining gate leaves the front: the
         entrants are the whole change besides the dropped gates themselves.
         """
-        touched: set[int] = set()
+        stale: set[int] = set()
+        run = self._run
         for i in indices:
             for q in dict.fromkeys(self._gates[i].qubits):
                 lane = self._lanes[q]
                 pos = lane.index(i)
                 del lane[pos]
                 del self._lane_gates[q][pos]
-                touched.add(q)
+                if pos < run[q]:
+                    run[q] -= 1
+                    if run[q]:
+                        continue
+                stale.add(q)
         self.front.difference_update(indices)
-        return self._update(self._rescan(touched).difference(indices))
-
-    def _rescan(self, qubits) -> set[int]:
-        """Rescan lanes; returns the gates that entered or left one of their fronts."""
-        moved: set[int] = set()
-        for q in qubits:
-            lane = self._lanes[q]
-            new = {lane[p] for p in self._front_of(self._lane_gates[q], q)}
-            moved |= new.symmetric_difference(self._lane_front.get(q, _NO_GATES))
-            self._lane_front[q] = new
-        return moved
-
-    def _update(self, moved) -> set[int]:
-        """Re-test the gates that moved in a lane front; returns those now in the front."""
-        lane_front = self._lane_front
-        entered = set()
-        for i in moved:
-            if all(i in lane_front[q] for q in self._gates[i].qubits):
-                entered.add(i)
-            else:
-                self.front.discard(i)
+        entered = self._extend(stale)
         self.front |= entered
         return entered
 
-
-_ANGLE_SAMPLES = (0.37, 1.1, 2.0, 4.4)
-_COMMUTATOR_TOL = 1e-9
-
-
-def _representative_gates(entry: Entry) -> tuple[list[Gate], int]:
-    """Gates realizing an entry with the shared qubit fixed at index 0."""
-    kind, role = entry
-    if kind is GateKind.CX:
-        qubits = (0, 1) if role == ROLE_CONTROL else (1, 0)
-        return [Gate(kind, qubits)], 2
-    n = kind.num_params
-    if n == 0:
-        return [Gate(kind, (0,))], 1
-    from itertools import product
-    gates = [Gate(kind, (0,), params)
-             for params in product(_ANGLE_SAMPLES, repeat=n)]
-    return gates, 1
-
-
-def _entry_commutes_numerically(a: Entry, b: Entry) -> bool:
-    import numpy as np
-
-    from .verify import gate_unitary
-
-    gates_a, width_a = _representative_gates(a)
-    gates_b, width_b = _representative_gates(b)
-    # Shared qubit is 0 for both; push b's partner qubit past a's operands.
-    shift = {0: 0, 1: width_a}
-    n = width_a + width_b - 1
-    for ga in gates_a:
-        ua = gate_unitary(ga, n)
-        for gb in gates_b:
-            gb_shifted = gb.with_qubits(tuple(shift[q] for q in gb.qubits))
-            ub = gate_unitary(gb_shifted, n)
-            if np.linalg.norm(ua @ ub - ub @ ua) > _COMMUTATOR_TOL:
-                return False
-    return True
-
-
-def validate_table_numerically() -> list[tuple[Entry, Entry]]:
-    """Return the same-family entry pairs that FAIL the dense-matrix commutator oracle.
-
-    An empty list certifies soundness of every family.
-    """
-    return [(a, b) for family in _FAMILIES.values()
-            for i, a in enumerate(family) for b in family[i:]
-            if not _entry_commutes_numerically(a, b)]
+    def _extend(self, qubits) -> set[int]:
+        """Rescan lanes and count their run's new gates; returns those now in the front."""
+        entered = set()
+        outside = self._outside
+        for q in qubits:
+            held = self._run[q]
+            self._run[q] = len(self._front_of(self._lane_gates[q], q))
+            for i in self._lanes[q][held:self._run[q]]:
+                outside[i] -= 1
+                if not outside[i]:
+                    entered.add(i)
+        return entered

@@ -251,8 +251,10 @@ class _Parser:
         return index
 
     def _cbit_operand(self, line: int) -> int | None:
+        if self.creg_name is None:
+            raise QasmSyntaxError("measure before creg declaration", line)
         name_tok = self.ts.next()
-        if name_tok.kind != "name" or (self.creg_name and name_tok.text != self.creg_name):
+        if name_tok.kind != "name" or name_tok.text != self.creg_name:
             raise QasmSyntaxError("expected classical register", name_tok.line)
         if not self.ts.at("["):
             return None
@@ -262,7 +264,7 @@ class _Parser:
             raise QasmSyntaxError("expected bit index", idx_tok.line)
         self.ts.expect("]")
         index = int(idx_tok.text)
-        if self.creg_size and index >= self.creg_size:
+        if index >= self.creg_size:
             raise QasmSyntaxError(f"classical index {index} out of range", line)
         return index
 
@@ -279,6 +281,9 @@ class _Parser:
         if q is None:
             if c is not None:
                 raise QasmSyntaxError("register-wide measure needs a register target", line)
+            if self.creg_size < self.qreg_size:
+                raise QasmSyntaxError("register-wide measure needs a creg as large as the qreg",
+                                      line)
             for i in range(self.qreg_size):
                 self.gates.append(Gate(GateKind.MEASURE, (i,), (), i, line))
         else:

@@ -214,6 +214,19 @@ def test_bench_byte_stable(corpus_dir, tmp_path, square4):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("route", "--output"), ("route", "--report"), ("bench", "--out-csv"), ("bench", "--out-json"),
+])
+def test_unwritable_output_path_exits_one_without_traceback(command, flag, golden_file, tmp_path):
+    target = tmp_path / "missing-dir" / "out"
+    source = (["--input", str(golden_file)] if command == "route"
+              else ["--corpus", str(golden_file.parent)])
+    with pytest.raises(SystemExit) as info:
+        main([command, "--arch", "square4", *source, flag, str(target)])
+    # A string code is printed to stderr and exits with status 1.
+    assert info.value.code == f"error: cannot write {target}: No such file or directory"
+
+
 def test_bench_missing_corpus_exits_one(tmp_path, capsys):
     code = main(["bench", "--corpus", str(tmp_path / "void"), "--arch", "square4"])
     assert code == 1

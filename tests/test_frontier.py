@@ -110,6 +110,38 @@ def test_cf_front_early_exit_matches_full_scan(seed):
     assert no_predecessor_front(gates) == no_predecessor_front_reference(gates)
 
 
+@given(st.integers(0, 10_000))
+@settings(max_examples=150, deadline=None)
+def test_lane_front_is_a_run_from_the_head(seed):
+    # LaneFrontier keeps a lane's front as a length; this is what makes that
+    # enough.
+    rng = random.Random(seed)
+    n = rng.randint(1, 4)
+    gates = random_gates(rng, n, rng.randint(0, 30))
+    for q in range(n):
+        lane = [g for g in gates if q in g.qubits]
+        front = cf_front(lane, lane=q)
+        assert front == set(range(len(front)))
+
+
+def test_lane_frontier_rescans_a_lane_only_once_its_run_empties():
+    calls = []
+
+    def front_of(gates, q):
+        calls.append(q)
+        return cf_front(gates, lane=q)
+
+    diagonal = [Gate(GateKind.T, (0,)), Gate(GateKind.Z, (0,)), Gate(GateKind.S, (0,)),
+                Gate(GateKind.U1, (0,), (0.3,)), Gate(GateKind.RZ, (0,), (0.9,))]
+    frontier = LaneFrontier(diagonal, front_of)
+    assert frontier.front == set(range(len(diagonal)))
+    for i in range(len(diagonal)):
+        assert frontier.remove((i,)) == set()
+    # Once at construction and once when the last gate leaves, not once per
+    # removal.
+    assert calls == [0, 0]
+
+
 def test_cf_front_reads_a_lane_only_up_to_where_it_closes():
     def gates_read(gates) -> int:
         read = []

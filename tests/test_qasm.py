@@ -88,6 +88,18 @@ def test_measure_and_barrier_forms():
     assert [(g.qubits[0], g.cbit) for g in c.gates[3:]] == [(0, 0), (1, 1), (2, 2)]
 
 
+@pytest.mark.parametrize("text, message, line", [
+    ("qreg q[2];\nmeasure q[0] -> c[5];\ncreg c[2];\n", "measure before creg declaration", 3),
+    ("qreg q[2];\nmeasure q -> c;\n", "measure before creg declaration", 3),
+    ("qreg q[3];\ncreg c[2];\nmeasure q -> c;\n", "creg as large as the qreg", 4),
+], ids=["bit-before-creg", "register-without-creg", "register-into-smaller-creg"])
+def test_measure_past_the_creg_is_a_located_syntax_error(text, message, line):
+    # Parsed, these would emit text that does not parse back.
+    with pytest.raises(QasmSyntaxError, match=message) as info:
+        parse_program("OPENQASM 2.0;\n" + text)
+    assert info.value.line == line
+
+
 def test_statement_order_preserved():
     text = "OPENQASM 2.0; qreg q[3]; h q[0]; t q[1]; cx q[1],q[2]; x q[0];"
     kinds = [g.kind for g in parse_program(text).gates]

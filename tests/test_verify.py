@@ -198,8 +198,8 @@ def test_verify_equivalence_oracle_modes(corpus_dir):
     assert report.dependency_ok
     assert report.oracle_ok is None  # 16 qubits: skipped, reason recorded
     assert any("oracle skipped" in d for d in report.details)
-    with pytest.raises(OracleLimitError):
-        verify_equivalence(big, result.schedule, oracle="on")
+    with pytest.raises(ValueError, match="'auto' or 'off', not 'bogus'"):
+        verify_equivalence(big, result.schedule, oracle="bogus")
 
 
 # --- dependency check against the oracle on corrupted schedules -------------
