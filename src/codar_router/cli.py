@@ -46,6 +46,8 @@ def _load_circuit(path: Path) -> Circuit:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise SystemExit(f"error: cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise SystemExit(f"error: cannot read {path}: {exc}") from None
     return parse_program(text)
 
 
@@ -151,7 +153,7 @@ def bench_corpus(corpus_dir: Path, archs: list[Architecture],
             name = path.stem
             try:
                 circuit = parse_program(path.read_text(encoding="utf-8"))
-            except QasmError as exc:
+            except (QasmError, UnicodeDecodeError, OSError) as exc:
                 errors.append({"circuit": name, "arch": arch.name, "error": str(exc)})
                 continue
             if circuit.num_qubits > arch.num_qubits:

@@ -4,12 +4,19 @@ Supported statements: the version header, ``include`` (ignored), one ``qreg``,
 an optional ``creg``, gate applications from the fixed vocabulary, ``measure``
 and ``barrier``.  User-defined ``gate`` blocks, ``if`` and ``opaque`` are out
 of scope; the benchmark corpus is flat gate lists.
+
+A line of the common shape ``name(num, ...)? reg[i](, reg[j])?;`` is matched
+whole by one regular expression and, at the start of a statement, becomes its
+gate directly when every check passes.  Any other line, and a fast line that
+fails a check or sits inside a statement, is split into tokens for the general
+parser, which is the only source of diagnostics.
 """
 from __future__ import annotations
 
 import math
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import __version__
 from .circuit import Circuit, Gate, GateKind
@@ -62,53 +69,107 @@ _TOKEN_RE = re.compile(r"""
   | (?P<op>->|[\[\](),;+\-*/])
 """, re.VERBOSE)
 
+# One whole line of the common shape ``name(num, ...)? reg[i](, reg[j])?;``,
+# with an optional trailing comment.  Each group ends where the tokenizer's
+# token would, and no two quantifiers can split the same whitespace, so a
+# match takes time linear in the line.
+_NUM = r"-?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
+_FAST_RE = re.compile(rf"""
+    \s*(?P<name>[A-Za-z_][A-Za-z0-9_]*)
+    (?:\s*\(\s*(?P<params>{_NUM}(?:\s*,\s*{_NUM})*)\s*\)|\s)
+    \s*(?P<reg>[A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(?P<a>\d+)\s*\]
+    (?:\s*,\s*(?P<reg2>[A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(?P<b>\d+)\s*\])?
+    \s*;\s*(?://.*)?
+""", re.VERBOSE)
 
-@dataclass(frozen=True)
-class _Token:
+# Unary signs and parentheses a parameter may nest before it is refused.
+_MAX_NESTING = 100
+
+
+class _Token(NamedTuple):
     kind: str
     text: str
     line: int
 
 
-def _tokenize(text: str) -> list[_Token]:
+class _GateLine(NamedTuple):
+    """A whole line that ``_FAST_RE`` matched, not yet split into tokens."""
+
+    match: re.Match
+    line: int
+
+
+def _line_tokens(raw: str, lineno: int) -> list[_Token]:
     tokens: list[_Token] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("//", 1)[0]
-        pos = 0
-        while pos < len(line):
-            if line[pos].isspace():
-                pos += 1
-                continue
-            if line[pos] == '"':
-                end = line.find('"', pos + 1)
-                if end < 0:
-                    raise QasmSyntaxError("unterminated string", lineno)
-                tokens.append(_Token("string", line[pos + 1:end], lineno))
-                pos = end + 1
-                continue
-            m = _TOKEN_RE.match(line, pos)
-            if not m:
-                raise QasmSyntaxError(f"unexpected character {line[pos]!r}", lineno)
-            kind = m.lastgroup or "op"
-            tokens.append(_Token(kind, m.group(), lineno))
-            pos = m.end()
+    line = raw.split("//", 1)[0]
+    pos = 0
+    while pos < len(line):
+        if line[pos].isspace():
+            pos += 1
+            continue
+        if line[pos] == '"':
+            end = line.find('"', pos + 1)
+            if end < 0:
+                raise QasmSyntaxError("unterminated string", lineno)
+            tokens.append(_Token("string", line[pos + 1:end], lineno))
+            pos = end + 1
+            continue
+        m = _TOKEN_RE.match(line, pos)
+        if not m:
+            raise QasmSyntaxError(f"unexpected character {line[pos]!r}", lineno)
+        tokens.append(_Token(m.lastgroup or "op", m.group(), lineno))
+        pos = m.end()
     return tokens
 
 
+def _tokenize(text: str) -> list[_Token | _GateLine]:
+    """Tokens of the whole text, with each fast-shaped line kept as one item.
+
+    Every other line is split here, so a tokenizer error anywhere is raised
+    before any statement is parsed.  A fast-shaped line always tokenizes.
+    """
+    items: list[_Token | _GateLine] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        m = _FAST_RE.fullmatch(raw)
+        if m is not None:
+            items.append(_GateLine(m, lineno))
+        else:
+            items += _line_tokens(raw, lineno)
+    return items
+
+
 class _TokenStream:
-    def __init__(self, tokens: list[_Token]):
-        self._tokens = tokens
-        self._pos = 0
+    """The items of :func:`_tokenize`, a gate line split into its tokens once a
+    token is asked for.  Kept reversed, so that taking an item is a pop."""
+
+    def __init__(self, items: list[_Token | _GateLine]):
+        self._items = items[::-1]
+        self._last_line = items[-1].line if items else 0
+
+    def gate_line(self) -> _GateLine | None:
+        """Take the next item if it is a whole gate line."""
+        items = self._items
+        if items and type(items[-1]) is _GateLine:
+            return items.pop()
+        return None
+
+    def put_back(self, item: _GateLine) -> None:
+        """Return a gate line to the stream as its tokens."""
+        self._items += reversed(_line_tokens(item.match.string, item.line))
 
     def peek(self) -> _Token | None:
-        return self._tokens[self._pos] if self._pos < len(self._tokens) else None
+        items = self._items
+        if not items:
+            return None
+        if type(items[-1]) is _GateLine:
+            self.put_back(items.pop())
+        return items[-1]
 
     def next(self) -> _Token:
         tok = self.peek()
         if tok is None:
-            last = self._tokens[-1].line if self._tokens else 0
-            raise QasmSyntaxError("unexpected end of input", last)
-        self._pos += 1
+            raise QasmSyntaxError("unexpected end of input", self._last_line)
+        self._items.pop()
         return tok
 
     def expect(self, text: str) -> _Token:
@@ -122,25 +183,31 @@ class _TokenStream:
         return tok is not None and tok.text == text
 
 
+def _nest(depth: int, line: int) -> int:
+    if depth >= _MAX_NESTING:
+        raise QasmSyntaxError("parameter expression nested too deeply", line)
+    return depth + 1
+
+
 def _parse_expr(ts: _TokenStream) -> float:
     """Arithmetic over numbers and pi with + - * / and parentheses."""
-    return _parse_additive(ts)
+    return _parse_additive(ts, 0)
 
 
-def _parse_additive(ts: _TokenStream) -> float:
-    value = _parse_multiplicative(ts)
+def _parse_additive(ts: _TokenStream, depth: int) -> float:
+    value = _parse_multiplicative(ts, depth)
     while ts.at("+") or ts.at("-"):
         op = ts.next().text
-        rhs = _parse_multiplicative(ts)
+        rhs = _parse_multiplicative(ts, depth)
         value = value + rhs if op == "+" else value - rhs
     return value
 
 
-def _parse_multiplicative(ts: _TokenStream) -> float:
-    value = _parse_unary(ts)
+def _parse_multiplicative(ts: _TokenStream, depth: int) -> float:
+    value = _parse_unary(ts, depth)
     while ts.at("*") or ts.at("/"):
         op = ts.next().text
-        rhs = _parse_unary(ts)
+        rhs = _parse_unary(ts, depth)
         if op == "/":
             if rhs == 0:
                 raise QasmSyntaxError("division by zero in parameter", ts.peek().line if ts.peek() else 0)
@@ -150,20 +217,20 @@ def _parse_multiplicative(ts: _TokenStream) -> float:
     return value
 
 
-def _parse_unary(ts: _TokenStream) -> float:
+def _parse_unary(ts: _TokenStream, depth: int) -> float:
     if ts.at("-"):
-        ts.next()
-        return -_parse_unary(ts)
+        depth = _nest(depth, ts.next().line)
+        return -_parse_unary(ts, depth)
     if ts.at("+"):
-        ts.next()
-        return _parse_unary(ts)
+        depth = _nest(depth, ts.next().line)
+        return _parse_unary(ts, depth)
     tok = ts.next()
     if tok.kind in ("float", "int"):
         return float(tok.text)
     if tok.kind == "name" and tok.text.lower() == "pi":
         return math.pi
     if tok.text == "(":
-        value = _parse_additive(ts)
+        value = _parse_additive(ts, _nest(depth, tok.line))
         ts.expect(")")
         return value
     raise QasmSyntaxError(f"bad parameter token {tok.text!r}", tok.line)
@@ -179,13 +246,41 @@ class _Parser:
         self.gates: list[Gate] = []
 
     def run(self) -> Circuit:
-        while self.ts.peek() is not None:
+        ts, gates = self.ts, self.gates
+        while True:
+            line = ts.gate_line()
+            if line is not None:
+                gate = self._fast_gate(line)
+                if gate is not None:
+                    gates.append(gate)
+                    continue
+                ts.put_back(line)
+            if ts.peek() is None:
+                break
             self._statement()
         if self.qreg_name is None:
             raise QasmSyntaxError("no qreg declared", 0)
         circuit = Circuit(self.qreg_size, self.gates, self.qreg_name,
                           self.creg_name or "c", self.creg_size)
         return circuit
+
+    def _fast_gate(self, line: _GateLine) -> Gate | None:
+        """The gate on a fast line, or None to leave the line to the general parser.
+
+        Never raises: a line is taken only when the general parser would
+        accept it and build the same gate.
+        """
+        name, params, reg, a, reg2, b = line.match.groups()
+        kind = _GATE_NAMES.get(name.lower())
+        if kind is None or reg != self.qreg_name or reg2 not in (None, reg):
+            return None
+        qubits = (int(a),) if b is None else (int(a), int(b))
+        values = () if params is None else tuple(map(float, params.split(",")))
+        if (len(qubits) != kind.arity or len(set(qubits)) != len(qubits)
+                or max(qubits) >= self.qreg_size
+                or len(values) != kind.num_params or not all(map(math.isfinite, values))):
+            return None
+        return Gate(kind, qubits, values, None, line.line)
 
     def _statement(self) -> None:
         tok = self.ts.next()

@@ -292,10 +292,11 @@ class _SwapSearch:
         self.edges_at = [[(p, m) if p < m else (m, p) for m in neighbors]
                          for p, neighbors in enumerate(arch.graph.adjacency())]
 
-    def add(self, seqs) -> None:
-        """Index gates that entered the front; one-qubit gates and barriers are skipped."""
+    def _index(self, seqs) -> set[int]:
+        """Index the coupling gates of ``seqs``; returns their physical qubits."""
         fwd = self.placement.fwd
         dist = self.arch.distances
+        touched = set()
         for seq in seqs:
             gate = self.gates[seq]
             if not _is_coupling_gate(gate):
@@ -307,12 +308,14 @@ class _SwapSearch:
                 self.blocked.add(seq)
                 self.endpoints[a] = self.endpoints.get(a, 0) + 1
                 self.endpoints[b] = self.endpoints.get(b, 0) + 1
-            self._invalidate(a)
-            self._invalidate(b)
+            touched.add(a)
+            touched.add(b)
+        return touched
 
-    def discard(self, seqs) -> None:
-        """Drop gates that left the front, or are about to move."""
+    def _unindex(self, seqs) -> set[int]:
+        """Undo :meth:`_index` for ``seqs`` at the current placement."""
         fwd = self.placement.fwd
+        touched = set()
         for seq in seqs:
             gate = self.gates[seq]
             if not _is_coupling_gate(gate):
@@ -326,8 +329,17 @@ class _SwapSearch:
                     self.endpoints[p] -= 1
                     if not self.endpoints[p]:
                         del self.endpoints[p]
-            self._invalidate(a)
-            self._invalidate(b)
+            touched.add(a)
+            touched.add(b)
+        return touched
+
+    def add(self, seqs) -> None:
+        """Index gates that entered the front; one-qubit gates and barriers are skipped."""
+        self._invalidate(self._index(seqs))
+
+    def discard(self, seqs) -> None:
+        """Drop gates that left the front."""
+        self._invalidate(self._unindex(seqs))
 
     def swap(self, i: int, j: int) -> set[int]:
         """Exchange the placement of physical qubits ``i`` and ``j``.
@@ -337,14 +349,18 @@ class _SwapSearch:
         candidacy or score.
         """
         moved = self.on_qubit[i] | self.on_qubit[j]
-        self.discard(moved)
+        before = self._unindex(moved)
         self.placement.swap(i, j)
-        self.add(moved)
+        # Nearly the same qubits as before; each one's edges are dropped once.
+        self._invalidate(before | self._index(moved))
         return moved
 
-    def _invalidate(self, p: int) -> None:
-        for edge in self.edges_at[p]:
-            self.scores.pop(edge, None)
+    def _invalidate(self, qubits) -> None:
+        """Drop the scores of the edges on ``qubits``."""
+        scores = self.scores
+        for p in qubits:
+            for edge in self.edges_at[p]:
+                scores.pop(edge, None)
 
     def _rank(self, found: dict[tuple[int, int], int], edges) -> None:
         """Put each of ``edges`` with a positive score into ``found``.

@@ -260,6 +260,24 @@ def test_route_non_finite_parameter_exits_one_without_traceback(param, tmp_path)
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["route", "bench"])
+def test_non_utf8_input_exits_one_without_traceback(command, tmp_path):
+    path = tmp_path / "latin1.qasm"
+    path.write_bytes(b"OPENQASM 2.0;\nqreg q[1];\nh q[0]; // caf\xe9 \xff\n")
+    where = ["--input", str(path)] if command == "route" else ["--corpus", str(tmp_path)]
+    proc = run_cli(command, "--arch", "square4", *where)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "can't decode byte 0xe9" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_bench_records_an_unreadable_program_as_an_error(tmp_path, square4):
+    (tmp_path / "dir.qasm").mkdir()
+    table = bench_corpus(tmp_path, [square4])
+    assert [e["circuit"] for e in table["errors"]] == ["dir"]
+
+
 def test_route_verification_failure_exits_two(golden_file, monkeypatch, capsys):
     from codar_router import cli
     from codar_router.verify import EquivalenceReport

@@ -1,4 +1,10 @@
+import importlib.util
 import math
+import random
+import re
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -12,9 +18,11 @@ from codar_router import (
     route,
     validate,
 )
+from codar_router import qasm
 from codar_router.qasm import (
     DuplicateOperandError,
     MultipleQregError,
+    QasmError,
     QasmSyntaxError,
     QubitOutOfRangeError,
     UnknownGateError,
@@ -62,6 +70,20 @@ def test_located_syntax_error():
     assert info.value.line == 3
 
 
+@pytest.mark.parametrize("text", ["qreg q[2];\nh q[0];\ncx q[0],\n", "qreg q[2];\n\nh q[0]  // no ;\n"])
+def test_unexpected_end_is_located_at_the_last_token(text):
+    with pytest.raises(QasmSyntaxError, match="unexpected end of input") as info:
+        parse_program(text)
+    assert info.value.line == 3
+
+
+def test_tokenizer_error_on_a_later_line_comes_first():
+    # The whole text is split into tokens before any statement is parsed.
+    with pytest.raises(QasmSyntaxError, match="unexpected character '\\$'") as info:
+        parse_program("qreg q[2];\nh q[5];\nx q[0]; $\n")
+    assert info.value.line == 3
+
+
 def test_parameter_expressions():
     c = parse_program("OPENQASM 2.0; qreg q[1]; rz(pi/4) q[0]; u3(0.5,-pi,2*pi) q[0]; u1(1e-3) q[0];")
     assert c.gates[0].params == (math.pi / 4,)
@@ -76,6 +98,23 @@ def test_non_finite_parameter_is_a_located_syntax_error(param):
     with pytest.raises(QasmSyntaxError, match="not a finite number") as info:
         parse_program(f"OPENQASM 2.0;\nqreg q[1];\n{gate}({param}) q[0];\n")
     assert info.value.line == 3
+
+
+@pytest.mark.parametrize("param", ["-" * 5000 + "1", "(" * 5000 + "1" + ")" * 5000],
+                         ids=["signs", "parentheses"])
+def test_deeply_nested_parameter_is_a_located_syntax_error(param):
+    with pytest.raises(QasmSyntaxError, match="nested too deeply") as info:
+        parse_program(f"OPENQASM 2.0;\nqreg q[1];\nu1({param}) q[0];\n")
+    assert info.value.line == 3
+
+
+def test_parameter_nested_to_the_limit_parses():
+    # Parentheses and signs count alike.
+    deep = qasm._MAX_NESTING - 1
+    param = "(" * deep + "-1" + ")" * deep
+    assert parse_program(f"qreg q[1]; u1({param}) q[0];").gates[0].params == (-1.0,)
+    with pytest.raises(QasmSyntaxError, match="nested too deeply"):
+        parse_program(f"qreg q[1]; u1(({param})) q[0];")
 
 
 def test_measure_and_barrier_forms():
@@ -198,3 +237,144 @@ def test_validate_duplicate_and_range():
     c.gates.append(Gate(GateKind.H, (5,)))
     codes = [d.code for d in validate(c, 2)]
     assert "DuplicateOperand" in codes and "QubitOutOfRange" in codes
+
+
+# The fast path for common gate lines, against the general parser it skips.
+
+
+def _outcome(text: str):
+    """What parsing ``text`` gives: the error, or every field of the circuit."""
+    try:
+        c = parse_program(text)
+    except QasmError as exc:
+        return type(exc), str(exc), exc.line
+    return (c.num_qubits, c.register_name, c.creg_name, c.num_clbits,
+            [(g.kind, g.qubits, [repr(p) for p in g.params], g.cbit, g.source_line)
+             for g in c.gates])
+
+
+def _assert_same_both_ways(text: str, monkeypatch) -> None:
+    fast = _outcome(text)
+    with monkeypatch.context() as m:
+        m.setattr(qasm, "_FAST_RE", re.compile("(?!)"))
+        general = _outcome(text)
+    assert fast == general, text
+
+
+def _benchmark_programs(monkeypatch) -> list[str]:
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    return [op.text for name in sorted(workloads.WORKLOADS)
+            for op in workloads.make_workload(name, 1).ops]
+
+
+def test_fast_path_matches_general_parser_on_corpus_and_benchmarks(corpus_dir, monkeypatch):
+    texts = [p.read_text(encoding="utf-8") for p in sorted(corpus_dir.glob("*.qasm"))]
+    for text in texts + _benchmark_programs(monkeypatch):
+        _assert_same_both_ways(text, monkeypatch)
+
+
+# Statements around the fast line's shape; on the header's q[3], a few are valid.
+_STATEMENTS = [
+    "h q[0];", "cx q[2],q[0];", "u1(0.25) q[1];", "u3(1, -2.5e-3, .5) q[2];",
+    "rz(-0.0) q[0];", "swap q[0],q[2];", "h q[0];  // note", "  \t x q[1] ;",
+    # expressions and non-finite values
+    "u1(pi/4) q[1];", "rz(-pi) q[0];", "u3(0.5, 1, 2*pi) q[2];", "u1(1/0) q[0];",
+    "u1(1e999) q[0];", "u1(-1e999) q[0];", "u3(1e999, 0, 0) q[1];",
+    # indices and registers
+    "h q[3];", "h q[99];", "cx q[1],q[1];", "cx q[0],r[1];", "h r[0];", "h q;",
+    "h q[01];", "h q[\u0663];", "u1(\u0661.5) q[0];",
+    # declarations and non-gate statements in gate shape
+    "qreg q[2];", "qreg r[3];", "creg c[2];", "creg c[2]; measure q[0] -> c[0];",
+    "measure q[0];", "barrier q[0],q[1];", "barrier q[1];",
+    # statements split across lines, or two on a line
+    "cx q[0],\nq[1];", "h\nq[0];", "u1(0.5\n) q[0];", "cx q[0],q[1]\n;",
+    "h q[0]; h q[1];", "h q[0]//;", "cx q[0],\nh q[1];", "u1(0.5,\nh q[1];",
+    "include\nx q[1];", "barrier q[0],\ncx q[1],q[2];",
+    # names, arity and parameter counts
+    "H q[0];", "CX q[0], q[1];", "h() q[0];", "h (0.5) q[0];", "u1 q[0];",
+    "u3(1,2) q[0];", "cx q[0];", "h q[0],q[1];", "h q[1],q[1];", "hq[0];", "zz q[0];",
+    # number forms
+    "u1(--1) q[0];", "u1(- 1) q[0];", "u1(+1) q[0];", "u1(1.e5) q[0];",
+    "u1(1e) q[0];", "u1(1.5.3) q[0];", "u1(1 2) q[0];", "u1(1,) q[0];",
+    "u1(1e+2) q[0];", "u1(7E-1)q[0];",
+    # whitespace and junk
+    "h\u2003q[0];", "h\xa0q[ 0 ];", "h q [ 0 ] ;", "cx q[0],q[1]; // \"",
+    "x q[0]; \"", "h q[0]; $", "OPENQASM 2.0;", 'include "qelib1.inc";',
+]
+_JUNK = ";[](),->/\"\x00\u00e9\t q1.e-"
+
+
+def _mutated_program(rng: random.Random) -> str:
+    lines = [rng.choice(_STATEMENTS[:8]) for _ in range(rng.randint(2, 8))]
+    for _ in range(rng.randint(1, 3)):
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(_STATEMENTS))
+    if rng.random() < 0.5:
+        i = rng.randrange(len(lines))
+        chars = list(lines[i])
+        for _ in range(rng.randint(1, 3)):
+            pos = rng.randrange(len(chars) + 1)
+            op = rng.random()
+            if op < 0.3 and chars:
+                del chars[min(pos, len(chars) - 1)]
+            elif op < 0.7:
+                chars.insert(pos, rng.choice(_JUNK))
+            elif chars:
+                chars[min(pos, len(chars) - 1)] = rng.choice(_JUNK)
+        lines[i] = "".join(chars)
+    head = ["OPENQASM 2.0;", 'include "qelib1.inc";', "qreg q[3];"]
+    if rng.random() < 0.1:
+        head.pop()  # gates before any qreg, or in a register declared later
+    return "\n".join(head[rng.randrange(2):] + lines) + rng.choice(["\n", ""])
+
+
+def test_fast_path_matches_general_parser_on_mutated_statements(monkeypatch):
+    rng = random.Random(13)
+    errors = 0
+    for _ in range(3000):
+        text = _mutated_program(rng)
+        _assert_same_both_ways(text, monkeypatch)
+        errors += isinstance(_outcome(text)[0], type)
+    # Both outcomes are well represented.
+    assert 300 < errors < 2700
+
+
+def test_fast_line_is_one_item_and_makes_no_tokens(monkeypatch):
+    text = "OPENQASM 2.0;\nqreg q[2];\ncx q[0],q[1];\n"
+    items = qasm._tokenize(text)
+    # ``qreg q[2];`` has the shape too; the general parser takes it.
+    assert [type(item) for item in items] == [qasm._Token] * 3 + [qasm._GateLine] * 2
+    assert [item.line for item in items[3:]] == [2, 3]
+    split: list[int] = []
+    line_tokens = qasm._line_tokens
+
+    def counting(raw, lineno):
+        split.append(lineno)
+        return line_tokens(raw, lineno)
+
+    monkeypatch.setattr(qasm, "_line_tokens", counting)
+    assert parse_program(text).gates == [Gate(GateKind.CX, (0, 1), (), None, 3)]
+    # Line 1 while the text is split, line 2 once the parser hands it back.
+    assert split == [1, 2]
+
+
+_WIDE = " \t" * 50_000
+
+
+@pytest.mark.parametrize("line", [
+    "h q[0];", "u3(1, -2, .5) q[0];", "cx q[0], q[1]; // c", "h q", "h q[0] x",
+    "u1(1, 2, 3, 4 q[0];", "cx q[0], q[1], q[2];", "u1(-1e999) q[0];",
+])
+def test_wide_whitespace_parses_in_linear_time(line):
+    # Whitespace between every pair of tokens, and before the end.
+    tokens = [m.group() for m in re.finditer(r"//.*|[A-Za-z_]\w*|[-.\w]+|\S", line)]
+    text = "qreg q[2];\n" + _WIDE.join(tokens + [""])
+    start = time.perf_counter()
+    try:
+        parse_program(text)
+    except QasmError:
+        pass
+    assert time.perf_counter() - start < 1.0
