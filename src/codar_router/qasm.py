@@ -72,14 +72,16 @@ _TOKEN_RE = re.compile(r"""
 # One whole line of the common shape ``name(num, ...)? reg[i](, reg[j])?;``,
 # with an optional trailing comment.  Each group ends where the tokenizer's
 # token would, and no two quantifiers can split the same whitespace, so a
-# match takes time linear in the line.
+# match takes time linear in the line.  Only spaces and tabs count as
+# whitespace here, since ``float`` does not strip every character that
+# ``str.isspace`` accepts; a line with any other goes to the general parser.
 _NUM = r"-?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
 _FAST_RE = re.compile(rf"""
-    \s*(?P<name>[A-Za-z_][A-Za-z0-9_]*)
-    (?:\s*\(\s*(?P<params>{_NUM}(?:\s*,\s*{_NUM})*)\s*\)|\s)
-    \s*(?P<reg>[A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(?P<a>\d+)\s*\]
-    (?:\s*,\s*(?P<reg2>[A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(?P<b>\d+)\s*\])?
-    \s*;\s*(?://.*)?
+    [ \t]*(?P<name>[A-Za-z_][A-Za-z0-9_]*)
+    (?:[ \t]*\([ \t]*(?P<params>{_NUM}(?:[ \t]*,[ \t]*{_NUM})*)[ \t]*\)|[ \t])
+    [ \t]*(?P<reg>[A-Za-z_][A-Za-z0-9_]*)[ \t]*\[[ \t]*(?P<a>\d+)[ \t]*\]
+    (?:[ \t]*,[ \t]*(?P<reg2>[A-Za-z_][A-Za-z0-9_]*)[ \t]*\[[ \t]*(?P<b>\d+)[ \t]*\])?
+    [ \t]*;[ \t]*(?://.*)?
 """, re.VERBOSE)
 
 # Unary signs and parentheses a parameter may nest before it is refused.

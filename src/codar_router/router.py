@@ -292,11 +292,10 @@ class _SwapSearch:
         self.edges_at = [[(p, m) if p < m else (m, p) for m in neighbors]
                          for p, neighbors in enumerate(arch.graph.adjacency())]
 
-    def _index(self, seqs) -> set[int]:
-        """Index the coupling gates of ``seqs``; returns their physical qubits."""
+    def add(self, seqs) -> None:
+        """Index gates that entered the front; one-qubit gates and barriers are skipped."""
         fwd = self.placement.fwd
         dist = self.arch.distances
-        touched = set()
         for seq in seqs:
             gate = self.gates[seq]
             if not _is_coupling_gate(gate):
@@ -308,14 +307,12 @@ class _SwapSearch:
                 self.blocked.add(seq)
                 self.endpoints[a] = self.endpoints.get(a, 0) + 1
                 self.endpoints[b] = self.endpoints.get(b, 0) + 1
-            touched.add(a)
-            touched.add(b)
-        return touched
+            self._invalidate(a)
+            self._invalidate(b)
 
-    def _unindex(self, seqs) -> set[int]:
-        """Undo :meth:`_index` for ``seqs`` at the current placement."""
+    def discard(self, seqs) -> None:
+        """Drop gates that left the front, or are about to move."""
         fwd = self.placement.fwd
-        touched = set()
         for seq in seqs:
             gate = self.gates[seq]
             if not _is_coupling_gate(gate):
@@ -329,17 +326,8 @@ class _SwapSearch:
                     self.endpoints[p] -= 1
                     if not self.endpoints[p]:
                         del self.endpoints[p]
-            touched.add(a)
-            touched.add(b)
-        return touched
-
-    def add(self, seqs) -> None:
-        """Index gates that entered the front; one-qubit gates and barriers are skipped."""
-        self._invalidate(self._index(seqs))
-
-    def discard(self, seqs) -> None:
-        """Drop gates that left the front."""
-        self._invalidate(self._unindex(seqs))
+            self._invalidate(a)
+            self._invalidate(b)
 
     def swap(self, i: int, j: int) -> set[int]:
         """Exchange the placement of physical qubits ``i`` and ``j``.
@@ -349,18 +337,14 @@ class _SwapSearch:
         candidacy or score.
         """
         moved = self.on_qubit[i] | self.on_qubit[j]
-        before = self._unindex(moved)
+        self.discard(moved)
         self.placement.swap(i, j)
-        # Nearly the same qubits as before; each one's edges are dropped once.
-        self._invalidate(before | self._index(moved))
+        self.add(moved)
         return moved
 
-    def _invalidate(self, qubits) -> None:
-        """Drop the scores of the edges on ``qubits``."""
-        scores = self.scores
-        for p in qubits:
-            for edge in self.edges_at[p]:
-                scores.pop(edge, None)
+    def _invalidate(self, p: int) -> None:
+        for edge in self.edges_at[p]:
+            self.scores.pop(edge, None)
 
     def _rank(self, found: dict[tuple[int, int], int], edges) -> None:
         """Put each of ``edges`` with a positive score into ``found``.
