@@ -22,7 +22,7 @@ from pathlib import Path
 from . import __version__
 from .arch import Architecture, ArchitectureError, resolve_architecture
 from .circuit import Circuit
-from .qasm import QasmError, emit_program, parse_program, validate
+from .qasm import QasmError, emit_program, parse_file, validate
 from .router import (
     RouterConfig,
     RoutingResult,
@@ -43,12 +43,11 @@ def _policy_dict(cfg: RouterConfig, init_policy: str) -> dict:
 
 def _load_circuit(path: Path) -> Circuit:
     try:
-        text = path.read_text(encoding="utf-8")
+        return parse_file(path)
     except OSError as exc:
         raise SystemExit(f"error: cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise SystemExit(f"error: cannot read {path}: {exc}") from None
-    return parse_program(text)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -145,16 +144,19 @@ def bench_corpus(corpus_dir: Path, archs: list[Architecture],
     rows: list[dict] = []
     skipped: list[dict] = []
     errors: list[dict] = []
-    files = sorted(corpus_dir.glob("*.qasm"))
+    # Each program is parsed once; one that fails is an error on every device.
+    programs: list[tuple[str, Circuit | None, str | None]] = []
+    for path in sorted(corpus_dir.glob("*.qasm")):
+        try:
+            programs.append((path.stem, parse_file(path), None))
+        except (QasmError, UnicodeDecodeError, OSError) as exc:
+            programs.append((path.stem, None, str(exc)))
     for arch in archs:
         full_cfg = RouterConfig()
         ablated_cfg = RouterConfig(duration_aware=False, commutativity_on=False)
-        for path in files:
-            name = path.stem
-            try:
-                circuit = parse_program(path.read_text(encoding="utf-8"))
-            except (QasmError, UnicodeDecodeError, OSError) as exc:
-                errors.append({"circuit": name, "arch": arch.name, "error": str(exc)})
+        for name, circuit, error in programs:
+            if error is not None:
+                errors.append({"circuit": name, "arch": arch.name, "error": error})
                 continue
             if circuit.num_qubits > arch.num_qubits:
                 skipped.append({

@@ -8,8 +8,8 @@ of scope; the benchmark corpus is flat gate lists.
 A line of the common shape ``name(num, ...)? reg[i](, reg[j])?;`` is matched
 whole by one regular expression and, at the start of a statement, becomes its
 gate directly when every check passes.  Any other line, and a fast line that
-fails a check or sits inside a statement, is split into tokens for the general
-parser, which is the only source of diagnostics.
+fails a check or sits inside a statement, is split into tokens by one regular
+expression for the general parser, which is the only source of diagnostics.
 """
 from __future__ import annotations
 
@@ -62,11 +62,18 @@ class MultipleQregError(QasmError):
 _GATE_NAMES = {kind.value: kind for kind in GateKind
                if kind not in (GateKind.MEASURE, GateKind.BARRIER)}
 
+# The whole token grammar of a line, tried at each position in this order.  A
+# comment or whitespace makes no token; ``\s`` is exactly ``str.isspace``.  A
+# string keeps its quotes, so it never equals punctuation, and a ``//`` inside
+# it belongs to it.  Any other character is an error.
 _TOKEN_RE = re.compile(r"""
-    (?P<float>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)
+    //.*|\s+
+  | (?P<string>"[^"]*")
+  | (?P<float>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)
   | (?P<int>\d+)
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<op>->|[\[\](),;+\-*/])
+  | (?P<bad>.)
 """, re.VERBOSE)
 
 # One whole line of the common shape ``name(num, ...)? reg[i](, reg[j])?;``,
@@ -103,24 +110,14 @@ class _GateLine(NamedTuple):
 
 def _line_tokens(raw: str, lineno: int) -> list[_Token]:
     tokens: list[_Token] = []
-    line = raw.split("//", 1)[0]
-    pos = 0
-    while pos < len(line):
-        if line[pos].isspace():
-            pos += 1
-            continue
-        if line[pos] == '"':
-            end = line.find('"', pos + 1)
-            if end < 0:
-                raise QasmSyntaxError("unterminated string", lineno)
-            tokens.append(_Token("string", line[pos + 1:end], lineno))
-            pos = end + 1
-            continue
-        m = _TOKEN_RE.match(line, pos)
-        if not m:
-            raise QasmSyntaxError(f"unexpected character {line[pos]!r}", lineno)
-        tokens.append(_Token(m.lastgroup or "op", m.group(), lineno))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(raw):
+        kind = m.lastgroup
+        if kind == "bad":
+            text = m.group()
+            raise QasmSyntaxError("unterminated string" if text == '"'
+                                  else f"unexpected character {text!r}", lineno)
+        if kind is not None:
+            tokens.append(_Token(kind, m.group(), lineno))
     return tokens
 
 
@@ -180,9 +177,9 @@ class _TokenStream:
             raise QasmSyntaxError(f"expected {text!r}, got {tok.text!r}", tok.line)
         return tok
 
-    def at(self, text: str) -> bool:
+    def at(self, *texts: str) -> bool:
         tok = self.peek()
-        return tok is not None and tok.text == text
+        return tok is not None and tok.text in texts
 
 
 def _nest(depth: int, line: int) -> int:
@@ -191,14 +188,10 @@ def _nest(depth: int, line: int) -> int:
     return depth + 1
 
 
-def _parse_expr(ts: _TokenStream) -> float:
-    """Arithmetic over numbers and pi with + - * / and parentheses."""
-    return _parse_additive(ts, 0)
-
-
 def _parse_additive(ts: _TokenStream, depth: int) -> float:
+    """Arithmetic over numbers and pi with + - * / and parentheses."""
     value = _parse_multiplicative(ts, depth)
-    while ts.at("+") or ts.at("-"):
+    while ts.at("+", "-"):
         op = ts.next().text
         rhs = _parse_multiplicative(ts, depth)
         value = value + rhs if op == "+" else value - rhs
@@ -207,25 +200,23 @@ def _parse_additive(ts: _TokenStream, depth: int) -> float:
 
 def _parse_multiplicative(ts: _TokenStream, depth: int) -> float:
     value = _parse_unary(ts, depth)
-    while ts.at("*") or ts.at("/"):
-        op = ts.next().text
+    while ts.at("*", "/"):
+        op = ts.next()
         rhs = _parse_unary(ts, depth)
-        if op == "/":
-            if rhs == 0:
-                raise QasmSyntaxError("division by zero in parameter", ts.peek().line if ts.peek() else 0)
-            value = value / rhs
-        else:
+        if op.text == "*":
             value = value * rhs
+        elif rhs == 0:
+            raise QasmSyntaxError("division by zero in parameter", op.line)
+        else:
+            value = value / rhs
     return value
 
 
 def _parse_unary(ts: _TokenStream, depth: int) -> float:
-    if ts.at("-"):
-        depth = _nest(depth, ts.next().line)
-        return -_parse_unary(ts, depth)
-    if ts.at("+"):
-        depth = _nest(depth, ts.next().line)
-        return _parse_unary(ts, depth)
+    if ts.at("-", "+"):
+        sign = ts.next()
+        value = _parse_unary(ts, _nest(depth, sign.line))
+        return -value if sign.text == "-" else value
     tok = ts.next()
     if tok.kind in ("float", "int"):
         return float(tok.text)
@@ -297,10 +288,10 @@ class _Parser:
         elif name == "include":
             self.ts.next()  # filename string
             self.ts.expect(";")
-        elif name == "qreg":
-            self._register(tok.line, quantum=True)
-        elif name == "creg":
-            self._register(tok.line, quantum=False)
+        elif name in ("qreg", "creg"):
+            self._register(tok.line, quantum=name == "qreg")
+        elif self.qreg_name is None:
+            raise QasmSyntaxError("statement before qreg declaration", tok.line)
         elif name == "measure":
             self._measure(tok.line)
         elif name == "barrier":
@@ -365,12 +356,7 @@ class _Parser:
             raise QasmSyntaxError(f"classical index {index} out of range", line)
         return index
 
-    def _require_qreg(self, line: int) -> None:
-        if self.qreg_name is None:
-            raise QasmSyntaxError("statement before qreg declaration", line)
-
     def _measure(self, line: int) -> None:
-        self._require_qreg(line)
         q = self._qubit_operand(line)
         self.ts.expect("->")
         c = self._cbit_operand(line)
@@ -387,7 +373,6 @@ class _Parser:
             self.gates.append(Gate(GateKind.MEASURE, (q,), (), q if c is None else c, line))
 
     def _barrier(self, line: int) -> None:
-        self._require_qreg(line)
         qubits: list[int] = []
         while True:
             q = self._qubit_operand(line)
@@ -405,7 +390,6 @@ class _Parser:
         self.gates.append(Gate(GateKind.BARRIER, tuple(ordered), (), None, line))
 
     def _gate(self, name: str, line: int) -> None:
-        self._require_qreg(line)
         kind = _GATE_NAMES.get(name.lower())
         if kind is None:
             raise UnknownGateError(name, line)
@@ -413,10 +397,10 @@ class _Parser:
         if self.ts.at("("):
             self.ts.next()
             if not self.ts.at(")"):
-                params.append(_parse_expr(self.ts))
+                params.append(_parse_additive(self.ts, 0))
                 while self.ts.at(","):
                     self.ts.next()
-                    params.append(_parse_expr(self.ts))
+                    params.append(_parse_additive(self.ts, 0))
             self.ts.expect(")")
         if len(params) != kind.num_params:
             raise QasmSyntaxError(

@@ -437,10 +437,11 @@ class _Router:
     # frontier ------------------------------------------------------------
     def _lane_front(self, gates: list[Gate], qubit: int) -> set[int]:
         # The frontier functions are looked up by name at each call, so a
-        # wrapper installed on this module sees every lane rescan.
+        # wrapper installed on this module sees every lane rescan.  Every gate
+        # of a lane shares its qubit, so only the head can lack a predecessor.
         if self.config.commutativity_on:
             return cf_front(gates, lane=qubit)
-        return no_predecessor_front(gates)
+        return no_predecessor_front(gates[:1])
 
     # launch phase --------------------------------------------------------
     def _launch_ready(self) -> bool:

@@ -193,6 +193,24 @@ def no_predecessor_front_reference(gates) -> set[int]:
     return front
 
 
+def compliance_violations(items, arch) -> list[str]:
+    """Each CX or SWAP off a coupled pair, and each two gates that overlap on a
+    qubit, in a list of scheduled gates."""
+    problems = []
+    busy: dict[int, list[tuple[int, int]]] = {}
+    for item in items:
+        if item.gate.kind in (GateKind.CX, GateKind.SWAP) \
+                and not arch.graph.has_edge(*item.gate.qubits):
+            problems.append(f"{item.gate} at {item.start} is not on a coupled pair")
+        for q in item.gate.qubits:
+            busy.setdefault(q, []).append((item.start, item.end))
+    for q, spans in sorted(busy.items()):
+        spans.sort()
+        problems += [f"qubit {q}: [{s0}, {e0}) overlaps [{s1}, {e1})"
+                     for (s0, e0), (s1, e1) in zip(spans, spans[1:]) if s1 < e0]
+    return problems
+
+
 def dependency_preds_reference(gates) -> list[list[int]]:
     """For each gate, the earlier gates it must stay behind (non-commuting)."""
     per_qubit: dict[int, list[int]] = {}

@@ -26,7 +26,7 @@ from codar_router.router import heuristic_priority
 from codar_router.cli import bench_corpus
 from codar_router.verify import statevector_oracle, verify_equivalence
 
-from oracles import cf_front_bruteforce, floyd_warshall, random_unitary_gate
+from oracles import cf_front_bruteforce, compliance_violations, floyd_warshall, random_unitary_gate
 from test_properties import connected_graph, make_arch, random_circuit
 
 
@@ -143,14 +143,7 @@ def test_criterion_7_property_suites():
         cfg = RouterConfig(duration_aware=rng.random() < 0.7,
                            commutativity_on=rng.random() < 0.7)
         schedule = route(circ, arch, config=cfg).schedule
-        busy: dict[int, list[tuple[int, int]]] = {}
-        for item in schedule.items:
-            if item.gate.kind in (GateKind.CX, GateKind.SWAP):
-                assert arch.graph.has_edge(*item.gate.qubits)
-            for q in item.gate.qubits:
-                for s, e in busy.get(q, []):
-                    assert item.end <= s or e <= item.start
-                busy.setdefault(q, []).append((item.start, item.end))
+        assert compliance_violations(schedule.items, arch) == []
 
     for _ in range(1000):
         arch = make_arch(connected_graph(rng, max_nodes=8))

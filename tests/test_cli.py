@@ -232,7 +232,7 @@ def test_bench_missing_corpus_exits_one(tmp_path, capsys):
     assert code == 1
 
 
-def test_commutation_extra_config_reaches_router(golden_file, tmp_path):
+def test_commutation_extra_config_key_is_ignored(golden_file, tmp_path):
     # The commutation table is fixed; a config that still carries the old
     # ``commutation_extra`` key loads, and the key has no effect on the route.
     reports = []
@@ -276,6 +276,30 @@ def test_bench_records_an_unreadable_program_as_an_error(tmp_path, square4):
     (tmp_path / "dir.qasm").mkdir()
     table = bench_corpus(tmp_path, [square4])
     assert [e["circuit"] for e in table["errors"]] == ["dir"]
+
+
+def test_bench_parses_each_program_once(corpus_dir, tmp_path, square4, monkeypatch):
+    from codar_router import cli, grid_architecture, parse_file
+
+    for path in sorted(corpus_dir.glob("*.qasm"))[:3]:
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    (tmp_path / "bad.qasm").write_text("qreg q[1];\nzz q[0];\n", encoding="utf-8")
+    parsed: list[str] = []
+
+    def counting(path):
+        parsed.append(path.name)
+        return parse_file(path)
+
+    monkeypatch.setattr(cli, "parse_file", counting)
+    archs = [square4, grid_architecture(3, 3), grid_architecture(6, 6)]
+    table = bench_corpus(tmp_path, archs)
+    assert sorted(parsed) == sorted(p.name for p in tmp_path.glob("*.qasm"))
+    # A program that fails to parse is still an error on every device.
+    assert [(e["circuit"], e["arch"]) for e in table["errors"]] == \
+        [("bad", a.name) for a in archs]
+    assert {(r["circuit"], r["arch"]) for r in table["rows"]} | \
+        {(s["circuit"], s["arch"]) for s in table["skipped"]} == \
+        {(p.stem, a.name) for p in tmp_path.glob("*.qasm") if p.stem != "bad" for a in archs}
 
 
 def test_route_verification_failure_exits_two(golden_file, monkeypatch, capsys):

@@ -142,6 +142,34 @@ def test_lane_frontier_rescans_a_lane_only_once_its_run_empties():
     assert calls == [0, 0]
 
 
+def test_ablated_lane_rescan_reads_only_the_lane_head(monkeypatch):
+    # Every gate of a lane touches its qubit, so only the head can lack a
+    # predecessor: the router passes the head alone, and routes as it would
+    # with the whole lane.
+    rng = random.Random(7)
+    config = RouterConfig(duration_aware=False, commutativity_on=False)
+    cases = [(Circuit(arch.num_qubits, random_gates(rng, arch.num_qubits, 80)), arch)
+             for arch in ARCHS + (preset_architecture("q20-tokyo"),)]
+    passed, full = [], []
+
+    def counting(gates):
+        passed.append(len(gates))
+        return no_predecessor_front(gates)
+
+    with monkeypatch.context() as m:
+        m.setattr(router_module, "no_predecessor_front", counting)
+        schedules = [route(c, arch, config=config).schedule.items for c, arch in cases]
+    assert passed and max(passed) == 1
+
+    def whole_lane(self, gates, qubit):
+        full.append(len(gates))
+        return no_predecessor_front_reference(gates)
+
+    monkeypatch.setattr(router_module._Router, "_lane_front", whole_lane)
+    assert [route(c, arch, config=config).schedule.items for c, arch in cases] == schedules
+    assert max(full) > 1
+
+
 def test_cf_front_reads_a_lane_only_up_to_where_it_closes():
     def gates_read(gates) -> int:
         read = []

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from codar_router import (
     Circuit,
-    GateKind,
     Mapping,
     RouterConfig,
     all_pairs_distances,
@@ -22,7 +21,7 @@ from codar_router import (
 from codar_router.arch import Architecture, CouplingGraph, DEFAULT_DURATIONS
 from codar_router.verify import verify_equivalence
 
-from oracles import cf_front_bruteforce, floyd_warshall, random_unitary_gate
+from oracles import cf_front_bruteforce, compliance_violations, floyd_warshall, random_unitary_gate
 
 
 def connected_graph(rng: random.Random, max_nodes: int = 12) -> CouplingGraph:
@@ -84,17 +83,6 @@ def test_no_predecessor_front_contained_in_cf(seed):
     assert no_predecessor_front(gates) <= cf_front(gates)
 
 
-def check_schedule_invariants(schedule, arch):
-    busy: dict[int, list[tuple[int, int]]] = {}
-    for item in schedule.items:
-        if item.gate.kind in (GateKind.CX, GateKind.SWAP):
-            assert arch.graph.has_edge(*item.gate.qubits)
-        for q in item.gate.qubits:
-            for s, e in busy.get(q, []):
-                assert item.end <= s or e <= item.start
-            busy.setdefault(q, []).append((item.start, item.end))
-
-
 @given(st.integers(0, 10_000))
 @settings(max_examples=150, deadline=None)
 def test_schedules_respect_locks_coupling_and_semantics(seed):
@@ -104,7 +92,7 @@ def test_schedules_respect_locks_coupling_and_semantics(seed):
     cfg = RouterConfig(duration_aware=rng.random() < 0.7,
                        commutativity_on=rng.random() < 0.7)
     result = route(circ, arch, config=cfg)
-    check_schedule_invariants(result.schedule, arch)
+    assert compliance_violations(result.schedule.items, arch) == []
     report = verify_equivalence(circ, result.schedule)
     assert report.dependency_ok, report.details
     assert report.oracle_ok is not False, report.details

@@ -117,6 +117,32 @@ def test_parameter_nested_to_the_limit_parses():
         parse_program(f"qreg q[1]; u1(({param})) q[0];")
 
 
+@pytest.mark.parametrize("text, message", [
+    ('qreg q"["1"]";', "expected '\\[', got '\"\\[\"'"),
+    ('qreg q[1]; u1("-"1) q[0];', "bad parameter token '\"-\"'"),
+    ('qreg q[1]; h q[0] "a"', "expected ';', got '\"a\"'"),
+])
+def test_string_never_stands_in_for_punctuation(text, message):
+    with pytest.raises(QasmSyntaxError, match=message):
+        parse_program(text)
+
+
+def test_comment_marker_inside_a_string_belongs_to_the_string():
+    c = parse_program('include "lib//qelib1.inc"; // "\nqreg q[1];\nh q[0];\n')
+    assert c.gates == [Gate(GateKind.H, (0,), (), None, 3)]
+    with pytest.raises(QasmSyntaxError, match="unterminated string") as info:
+        parse_program('qreg q[1];\ninclude "lib;\n')
+    assert info.value.line == 2
+
+
+@pytest.mark.parametrize("text", ["OPENQASM 2.0;\nqreg q[1];\nu1(1/0\n\n) q[0];\n",
+                                  "OPENQASM 2.0;\nqreg q[1];\nu1(1/0"])
+def test_division_by_zero_is_located_at_the_division(text):
+    with pytest.raises(QasmSyntaxError, match="division by zero") as info:
+        parse_program(text)
+    assert info.value.line == 3
+
+
 def test_measure_and_barrier_forms():
     c = parse_program(
         "OPENQASM 2.0; qreg q[3]; creg c[3]; barrier q; barrier q[0],q[2]; "

@@ -18,9 +18,11 @@ from codar_router import (
     route,
     weighted_depth,
 )
-from codar_router.router import (LockViolationError, RouterError, candidate_swaps,
-                                 heuristic_priority, launch)
+from codar_router.router import (LockViolationError, RouterError, ScheduledGate,
+                                 candidate_swaps, heuristic_priority, launch)
 from codar_router.verify import replay_schedule
+
+from oracles import compliance_violations
 
 
 def sched_map(result):
@@ -330,11 +332,17 @@ def test_lock_exclusivity_and_coupling(square4, corpus_dir):
         if circ.num_qubits > square4.num_qubits:
             continue
         schedule = route(circ, square4).schedule
-        busy = {}
-        for it in schedule.items:
-            if it.gate.kind in (GateKind.CX, GateKind.SWAP):
-                assert square4.graph.has_edge(*it.gate.qubits)
-            for q in it.gate.qubits:
-                for s, e in busy.get(q, []):
-                    assert it.end <= s or e <= it.start
-                busy.setdefault(q, []).append((it.start, it.end))
+        assert compliance_violations(schedule.items, square4) == []
+
+
+def test_compliance_check_flags_an_uncoupled_cx_and_an_overlapping_lock(square4):
+    # square4 couples 0-1, 0-2, 1-3 and 2-3.
+    items = [ScheduledGate(Gate(GateKind.CX, (0, 1)), 0, 2, 2),
+             ScheduledGate(Gate(GateKind.SWAP, (2, 3)), 0, 6, 6, inserted=True),
+             ScheduledGate(Gate(GateKind.H, (1,)), 2, 1, 1),
+             ScheduledGate(Gate(GateKind.CX, (1, 3)), 6, 2, 2)]
+    assert compliance_violations(items, square4) == []
+    uncoupled = items + [ScheduledGate(Gate(GateKind.CX, (0, 3)), 8, 2, 2)]
+    assert compliance_violations(uncoupled, square4) == ["cx 0,3 at 8 is not on a coupled pair"]
+    overlapping = items + [ScheduledGate(Gate(GateKind.T, (1,)), 1, 1, 1)]
+    assert compliance_violations(overlapping, square4) == ["qubit 1: [0, 2) overlaps [1, 2)"]
