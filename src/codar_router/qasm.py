@@ -91,6 +91,10 @@ _FAST_RE = re.compile(rf"""
     [ \t]*;[ \t]*(?://.*)?
 """, re.VERBOSE)
 
+# The token kinds each header statement takes as its argument, and their name.
+_HEADER_ARGS = {"OPENQASM": (("float", "int"), "version number"),
+                "include": (("string",), "quoted file name")}
+
 # Unary signs and parentheses a parameter may nest before it is refused.
 _MAX_NESTING = 100
 
@@ -282,11 +286,11 @@ class _Parser:
         if tok.kind != "name":
             raise QasmSyntaxError(f"expected statement, got {tok.text!r}", tok.line)
         name = tok.text
-        if name == "OPENQASM":
-            self.ts.next()  # version literal
-            self.ts.expect(";")
-        elif name == "include":
-            self.ts.next()  # filename string
+        if name in _HEADER_ARGS:
+            kinds, what = _HEADER_ARGS[name]
+            arg = self.ts.next()
+            if arg.kind not in kinds:
+                raise QasmSyntaxError(f"expected {what} after {name}, got {arg.text!r}", arg.line)
             self.ts.expect(";")
         elif name in ("qreg", "creg"):
             self._register(tok.line, quantum=name == "qreg")

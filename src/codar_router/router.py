@@ -263,32 +263,35 @@ class _SwapSearch:
     """SWAP-search state kept for a whole route and updated only where it changed.
 
     It holds the front's two-qubit gates indexed by the physical qubit of each
-    operand, the blocked (non-compliant) ones among them with a count per
-    physical qubit, and the scores of coupling edges already computed.  A
-    SWAP on edge ``(i, j)`` changes the distance of a gate only when an
-    operand sits on ``i`` or ``j``, so an edge's score depends only on the
-    gates on its endpoints and their placement, never on the clock or the
-    locks.  Whenever a gate enters, leaves or moves, the scores of the edges
-    on its physical qubits are dropped.
+    operand, with the physical qubit of the other operand, the blocked
+    (non-compliant) ones among them with a count per physical qubit, and
+    :attr:`found`, the map from each strictly positive scoring SWAP candidate
+    to its score, as :func:`candidate_swaps` and :func:`heuristic_priority`
+    would give them over the whole front.
 
-    Within one cycle the front is fixed, so the SWAP phase gathers its
-    candidates once: :meth:`candidates` maps each positive scoring one to its
-    score.  A SWAP then locks ``i`` and ``j`` and moves only the gates on
-    them, which :meth:`swap` returns, so no edge away from the qubits of
-    those gates can change its candidacy or its score; :meth:`recheck`
-    updates those edges alone, and :meth:`best` picks the next SWAP from
-    the map.
+    A coupling edge's candidacy depends only on the locks of its two qubits
+    and the gates on them, and its score only on those gates and the
+    placement of their other operands, never on the clock itself.  So the map
+    lasts for the whole route: every change marks the physical qubits it
+    touched as :attr:`dirty`, and :meth:`refresh` revisits the edges of the
+    dirty qubits alone.  The search marks the gates that enter, leave or move
+    itself; the router reports each lock it takes, and each lock that ends,
+    from its calendar of lock ends, as the clock reaches it.
     """
 
     def __init__(self, gates: list[Gate], placement: Mapping, arch: Architecture):
         self.gates = gates
         self.placement = placement
         self.arch = arch
-        self.on_qubit: list[set[int]] = [set() for _ in range(arch.num_qubits)]
+        #: Per physical qubit, source index of each front two-qubit gate on
+        #: it mapped to the physical qubit of its other operand.
+        self.on_qubit: list[dict[int, int]] = [{} for _ in range(arch.num_qubits)]
         #: Source indices of the blocked front two-qubit gates.
         self.blocked: set[int] = set()
         self.endpoints: dict[int, int] = {}
-        self.scores: dict[tuple[int, int], int] = {}
+        self.found: dict[tuple[int, int], int] = {}
+        #: Physical qubits whose lock or gates changed since the last refresh.
+        self.dirty: set[int] = set()
         self.edges_at = [[(p, m) if p < m else (m, p) for m in neighbors]
                          for p, neighbors in enumerate(arch.graph.adjacency())]
 
@@ -301,14 +304,14 @@ class _SwapSearch:
             if not _is_coupling_gate(gate):
                 continue
             a, b = fwd[gate.qubits[0]], fwd[gate.qubits[1]]
-            self.on_qubit[a].add(seq)
-            self.on_qubit[b].add(seq)
+            self.on_qubit[a][seq] = b
+            self.on_qubit[b][seq] = a
             if dist[a][b] != 1:
                 self.blocked.add(seq)
                 self.endpoints[a] = self.endpoints.get(a, 0) + 1
                 self.endpoints[b] = self.endpoints.get(b, 0) + 1
-            self._invalidate(a)
-            self._invalidate(b)
+            self.dirty.add(a)
+            self.dirty.add(b)
 
     def discard(self, seqs) -> None:
         """Drop gates that left the front, or are about to move."""
@@ -318,85 +321,66 @@ class _SwapSearch:
             if not _is_coupling_gate(gate):
                 continue
             a, b = fwd[gate.qubits[0]], fwd[gate.qubits[1]]
-            self.on_qubit[a].discard(seq)
-            self.on_qubit[b].discard(seq)
+            del self.on_qubit[a][seq]
+            del self.on_qubit[b][seq]
             if seq in self.blocked:
                 self.blocked.discard(seq)
                 for p in (a, b):
                     self.endpoints[p] -= 1
                     if not self.endpoints[p]:
                         del self.endpoints[p]
-            self._invalidate(a)
-            self._invalidate(b)
+            self.dirty.add(a)
+            self.dirty.add(b)
 
-    def swap(self, i: int, j: int) -> set[int]:
-        """Exchange the placement of physical qubits ``i`` and ``j``.
-
-        Returns the source indices of the gates it moved: besides ``i`` and
-        ``j``, their qubits are the only ones whose edges can change
-        candidacy or score.
-        """
-        moved = self.on_qubit[i] | self.on_qubit[j]
+    def swap(self, i: int, j: int) -> None:
+        """Exchange the placement of physical qubits ``i`` and ``j``, moving their gates."""
+        moved = self.on_qubit[i].keys() | self.on_qubit[j].keys()
         self.discard(moved)
         self.placement.swap(i, j)
         self.add(moved)
-        return moved
 
-    def _invalidate(self, p: int) -> None:
-        for edge in self.edges_at[p]:
-            self.scores.pop(edge, None)
+    def score(self, i: int, j: int) -> int:
+        """:func:`heuristic_priority` of SWAP ``(i, j)`` over the gates on ``i`` and ``j``.
 
-    def _rank(self, found: dict[tuple[int, int], int], edges) -> None:
-        """Put each of ``edges`` with a positive score into ``found``.
-
-        Scores come from the cache, computed again only after the gates on
-        an edge's qubits change.
+        A gate with an operand on ``i`` and the other on ``o`` gains
+        ``D[i][o] - D[j][o]``; one on both qubits keeps its distance.
         """
-        scores, on_qubit, gates = self.scores, self.on_qubit, self.gates
-        for edge in edges:
-            score = scores.get(edge)
-            if score is None:
-                i, j = edge
-                score = scores[edge] = heuristic_priority(
-                    edge, [gates[seq] for seq in on_qubit[i] | on_qubit[j]],
-                    self.placement.fwd, self.arch.distances)
-            if score > 0:
-                found[edge] = score
+        dist = self.arch.distances
+        di, dj = dist[i], dist[j]
+        score = 0
+        for o in self.on_qubit[i].values():
+            if o != j:
+                score += di[o] - dj[o]
+        for o in self.on_qubit[j].values():
+            if o != i:
+                score += dj[o] - di[o]
+        return score
 
-    def candidates(self, locks: list[int], t: int) -> dict[tuple[int, int], int]:
-        """The cycle's strictly positive scoring SWAP candidates, with their scores."""
-        found: dict[tuple[int, int], int] = {}
-        # Module-level names, looked up at each call (here and in _rank), so
-        # that a wrapper installed on this module sees every candidate search
-        # and score.
-        self._rank(found, candidate_swaps(self.endpoints, locks, t, self.arch))
+    def refresh(self, locks: list[int], t: int) -> dict[tuple[int, int], int]:
+        """Bring :attr:`found` up to date for cycle ``t`` and return it.
+
+        An edge qualifies while both its qubits are free at ``t`` and one of
+        them holds an operand of a blocked gate, as in :func:`candidate_swaps`,
+        and it stays in the map while its score is positive.
+        """
+        found, edges_at, endpoints, dirty = self.found, self.edges_at, self.endpoints, self.dirty
+        score = self.score
+        for p in dirty:
+            if locks[p] > t:
+                if found:
+                    for edge in edges_at[p]:
+                        found.pop(edge, None)
+                continue
+            for edge in edges_at[p]:
+                a, b = edge
+                if locks[a] <= t and locks[b] <= t and (a in endpoints or b in endpoints):
+                    gain = score(a, b)
+                    if gain > 0:
+                        found[edge] = gain
+                        continue
+                found.pop(edge, None)
+        dirty.clear()
         return found
-
-    def recheck(self, found: dict[tuple[int, int], int], moved, locks: list[int],
-                t: int) -> None:
-        """Update ``found`` after a SWAP launched at cycle ``t``.
-
-        ``moved`` is what :meth:`swap` returned, and ``locks`` already hold
-        the SWAP, so the candidates on its two qubits are dropped.  Then each
-        edge on a free qubit of a moved gate is checked again: it is a
-        candidate while both its qubits are free and one of them holds an
-        operand of a blocked gate, as in :func:`candidate_swaps`, and its
-        score is positive.
-        """
-        for edge in [(a, b) for a, b in found if locks[a] > t or locks[b] > t]:
-            del found[edge]
-        fwd, endpoints = self.placement.fwd, self.endpoints
-        qualified = []
-        for seq in moved:
-            for q in self.gates[seq].qubits:
-                if locks[fwd[q]] > t:
-                    continue
-                for edge in self.edges_at[fwd[q]]:
-                    found.pop(edge, None)
-                    a, b = edge
-                    if locks[a] <= t and locks[b] <= t and (a in endpoints or b in endpoints):
-                        qualified.append(edge)
-        self._rank(found, qualified)
 
     @staticmethod
     def best(found: dict[tuple[int, int], int]) -> tuple[int, int] | None:
@@ -416,6 +400,9 @@ class _Router:
         self.init = init.copy()
         self.placement = init.copy()
         self.locks = [0] * arch.num_qubits
+        # Release calendar: cycle -> physical qubits whose locks end then.
+        # Its keys are the lock values above the clock.
+        self.releases: dict[int, list[int]] = {}
         self.items: list[ScheduledGate] = []
         self.pending: dict[int, Gate] = dict(enumerate(circuit.gates))
         self.frontier = LaneFrontier(circuit.gates, self._lane_front)
@@ -458,7 +445,7 @@ class _Router:
                 if any(locks[fwd[q]] > t for q in gate.qubits):
                     continue
                 pgate = gate.with_qubits(tuple(fwd[q] for q in gate.qubits))
-                launch(pgate, t, locks, self.items, self.arch, self.config.duration_aware)
+                self._issue(pgate)
                 taken.append(seq)
             if not taken:
                 return launched
@@ -472,13 +459,26 @@ class _Router:
             ready = self.frontier.remove(taken)
             self.search.add(ready)
 
+    def _issue(self, pgate: Gate, inserted: bool = False) -> None:
+        """Launch ``pgate`` now, book its lock's end and report the lock to the search."""
+        end = launch(pgate, self.t, self.locks, self.items, self.arch,
+                     self.config.duration_aware, inserted).end
+        if end > self.t:
+            self.releases.setdefault(end, []).extend(pgate.qubits)
+        self.search.dirty.update(pgate.qubits)
+
+    def _advance(self, t: int) -> None:
+        """Move the clock to ``t`` and report the locks that end there."""
+        self.t = t
+        released = self.releases.pop(t, None)
+        if released:
+            self.search.dirty.update(released)
+
     # swap phase ----------------------------------------------------------
-    def _launch_swap(self, edge: tuple[int, int]) -> set[int]:
-        pgate = Gate(GateKind.SWAP, edge)
-        launch(pgate, self.t, self.locks, self.items, self.arch,
-               self.config.duration_aware, inserted=True)
+    def _launch_swap(self, edge: tuple[int, int]) -> None:
+        self._issue(Gate(GateKind.SWAP, edge), inserted=True)
         self.n_swaps += 1
-        return self.search.swap(*edge)
+        self.search.swap(*edge)
 
     def _forced_swap(self) -> bool:
         """The SWAP search restricted to the forced gate, as ``_SwapSearch.best`` picks."""
@@ -499,15 +499,15 @@ class _Router:
         return True
 
     def _heuristic_swaps(self) -> bool:
-        locks, t = self.locks, self.t
-        found = self.search.candidates(locks, t)
+        search, locks, t = self.search, self.locks, self.t
+        found = search.refresh(locks, t)
         launched = bool(found)
         while found:
-            moved = self._launch_swap(self.search.best(found))
+            self._launch_swap(search.best(found))
             if self.n_swaps > self.swap_cap:
                 self.desperate = True
                 break
-            self.search.recheck(found, moved, locks, t)
+            search.refresh(locks, t)
         return launched
 
     # main loop -----------------------------------------------------------
@@ -527,7 +527,7 @@ class _Router:
                 launched = self._heuristic_swaps() or launched
             if launched:
                 self.stall_counter = 0
-                self.t += 1
+                self._advance(self.t + 1)
                 continue
             # An idle cycle leaves everything the next one reads as it was,
             # except the stall counter, so the cycles after it stay idle
@@ -535,12 +535,12 @@ class _Router:
             # blocked, the counter reaches the stall limit (it is below the
             # limit here, or this cycle would have forced a gate).  Skip to
             # the earlier of the two, counting the skipped cycles as stalled.
-            events = [lock for lock in self.locks if lock > self.t]
+            events = list(self.releases)
             if self.forced_seq is None and blocked:
                 events.append(self.t + self.stall_limit - self.stall_counter)
             resume = min(events, default=self.t + 1)
             self.stall_counter += resume - self.t
-            self.t = resume
+            self._advance(resume)
         return Schedule(self.items, self.init, self.placement, self.stall_events)
 
 

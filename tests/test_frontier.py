@@ -1,11 +1,12 @@
 """Differential tests against the references in ``oracles.py``: the lane
 frontier and the checker built on it against full rescans, and the router's
-incremental SWAP-search state against the search from scratch.
+event-driven SWAP-search map against the search from scratch.
 """
 from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import codar_router.router as router_module
@@ -20,10 +21,11 @@ from codar_router import (
     grid_architecture,
     no_predecessor_front,
     preset_architecture,
+    resolve_architecture,
     route,
 )
 from codar_router.commutation import LaneFrontier
-from codar_router.router import _SwapSearch
+from codar_router.router import _SwapSearch, heuristic_priority
 from codar_router.verify import _is_commuting_reordering, dependency_equivalence, replay_schedule
 
 from oracles import (
@@ -267,15 +269,19 @@ def test_blocker_is_the_earliest_unplaced_non_commuting_gate():
 
 
 def test_swap_search_state_matches_search_from_scratch():
-    """Random front entries, launches, SWAPs and lock vectors on large devices.
+    """Random front entries, launches, SWAPs, locks and clock steps on large devices.
 
     After every step the state's blocked set and its oldest gate must equal
-    what the search from scratch derives from the whole front.  A cycle then
-    runs at a random clock and locks: each pick, and the candidate map it
-    comes from, must equal the search from scratch after every SWAP that
-    the cycle launched, with that SWAP's qubits locked and its gates moved.
+    what the search from scratch derives from the whole front.  Locks change
+    as in a route: the clock only moves forward, a lock is taken only on a
+    free qubit, some of zero length as a barrier's, and every lock taken or
+    released is reported to the search.  A cycle then refreshes the map and
+    takes SWAPs from it: the map and each pick must equal the search from
+    scratch before the first SWAP and after every SWAP, with that SWAP's
+    qubits locked and its gates moved, and at times a candidate's qubits
+    locked as well.
     """
-    ties = multi_swap_cycles = 0
+    ties = multi_swap_cycles = releases = 0
     for seed in range(24):
         rng = random.Random(seed)
         arch = preset_architecture("q20-tokyo") if seed % 2 else grid_architecture(10, 10)
@@ -290,6 +296,8 @@ def test_swap_search_state_matches_search_from_scratch():
         waiting = list(range(len(gates)))
         front: set[int] = set()
         edges = sorted(arch.graph.edges)
+        locks = [0] * num_physical
+        t = 0
         for _ in range(40):
             roll = rng.random()
             if roll < 0.35 and waiting:
@@ -303,9 +311,16 @@ def test_swap_search_state_matches_search_from_scratch():
                 front.difference_update(launched)
             else:
                 search.swap(*rng.choice(edges))
-            t = rng.randrange(1, 10)
-            locks = [rng.choice((0, t, t + 1, t + 6)) if rng.random() < 0.4 else 0
-                     for _ in range(num_physical)]
+            step = rng.choice((0, 1, 1, 2, 7))
+            released = [p for p in range(num_physical) if t < locks[p] <= t + step]
+            search.dirty.update(released)
+            releases += len(released)
+            t += step
+            taken = [p for p in rng.sample(range(num_physical), rng.randint(0, num_physical // 2))
+                     if locks[p] <= t]
+            for p in taken:
+                locks[p] = t + rng.choice((0, 1, 2, 6))
+            search.dirty.update(taken)
 
             cf_gates = [gates[seq] for seq in sorted(front)]
             fwd = placement.fwd
@@ -317,7 +332,7 @@ def test_swap_search_state_matches_search_from_scratch():
                                              for q in gates[seq].qubits}
             assert min(search.blocked, default=None) == (blocked[0] if blocked else None)
 
-            found = search.candidates(locks, t)
+            found = search.refresh(locks, t)
             swaps = 0
             while True:
                 scores = swap_scores_reference(cf_gates, placement, locks, t, arch)
@@ -330,10 +345,101 @@ def test_swap_search_state_matches_search_from_scratch():
                     break
                 i, j = best
                 locks[i] = locks[j] = t + rng.choice((1, 6))
-                search.recheck(found, search.swap(i, j), locks, t)
+                search.dirty.update(best)
+                search.swap(i, j)
+                # Some free qubits are locked as well, with candidates left.
+                if found and rng.random() < 0.5:
+                    taken = [p for edge in rng.sample(sorted(found), 1) for p in edge]
+                    for p in taken:
+                        locks[p] = t + 2
+                    search.dirty.update(taken)
+                found = search.refresh(locks, t)
                 swaps += 1
             multi_swap_cycles += swaps > 1
-    assert ties > 0 and multi_swap_cycles > 0
+    assert ties > 0 and multi_swap_cycles > 0 and releases > 0
+
+
+@pytest.mark.parametrize("device", ["grid:10x10", "q20-tokyo"])
+def test_edge_score_matches_heuristic_priority(device):
+    """The search's own edge score is heuristic_priority over the gates on both qubits."""
+    arch = resolve_architecture(device)
+    num_physical = arch.num_qubits
+    edges = sorted(arch.graph.edges)
+    checked = 0
+    for seed in range(12):
+        rng = random.Random(seed)
+        n = rng.choice((3, 8, num_physical))
+        placement = Mapping(rng.sample(range(num_physical), n), num_physical)
+        gates = [Gate(rng.choice((GateKind.CX, GateKind.CX, GateKind.SWAP)),
+                      tuple(rng.sample(range(n), 2))) if rng.random() < 0.85
+                 else Gate(GateKind.H, (rng.randrange(n),)) for _ in range(rng.randint(1, 30))]
+        search = _SwapSearch(gates, placement, arch)
+        search.add(range(len(gates)))
+        for _ in range(3):
+            search.swap(*rng.choice(edges))
+        fwd = placement.fwd
+        for i, j in edges:
+            on_edge = [gate for gate in gates if gate.kind is not GateKind.H
+                       and {fwd[q] for q in gate.qubits} & {i, j}]
+            expected = heuristic_priority((i, j), on_edge, fwd, arch.distances)
+            assert search.score(i, j) == expected
+            assert heuristic_priority((i, j), gates, fwd, arch.distances) == expected
+            checked += bool(on_edge)
+    assert checked > 100
+
+
+def test_candidate_map_matches_search_from_scratch_in_every_phase(monkeypatch, tune_router):
+    """Each refresh in a route gives the map the search from scratch would.
+
+    The map lasts across cycles and hears of lock changes only through the
+    router's reports, the releases from its calendar, so the phases that
+    follow idle cycles and idle skips over several cycles are checked too,
+    under both configs, and, with a stall limit of 1, the phases that follow
+    forced SWAPs.
+    """
+    current: list = []
+    stats: dict[str, int] = {}
+    refresh = _SwapSearch.refresh
+    heuristic_swaps = router_module._Router._heuristic_swaps
+    advance = router_module._Router._advance
+
+    def checked_refresh(self, locks, t):
+        found = refresh(self, locks, t)
+        (router,) = current
+        front = [router.pending[seq] for seq in sorted(router.frontier.front)]
+        scores = swap_scores_reference(front, router.placement, locks, t, router.arch)
+        assert found == {edge: score for edge, score in scores.items() if score > 0}
+        return found
+
+    def checked_heuristic_swaps(self):
+        current[:] = [self]
+        stats["phases"] += 1
+        stats["after_idle"] += self.stall_counter > 0
+        return heuristic_swaps(self)
+
+    def counted_advance(self, t):
+        stats["skips"] += t - self.t > 1
+        advance(self, t)
+
+    monkeypatch.setattr(_SwapSearch, "refresh", checked_refresh)
+    monkeypatch.setattr(router_module._Router, "_heuristic_swaps", checked_heuristic_swaps)
+    monkeypatch.setattr(router_module._Router, "_advance", counted_advance)
+    ablated = RouterConfig(duration_aware=False, commutativity_on=False)
+    for config, stall_limit in ((RouterConfig(), None), (ablated, None), (RouterConfig(), 1)):
+        tune_router(stall_limit=stall_limit)
+        stats.update(phases=0, after_idle=0, skips=0, stalls=0)
+        for seed in range(4):
+            rng = random.Random(seed)
+            arch = preset_architecture("q20-tokyo") if seed % 2 else grid_architecture(10, 10)
+            circuit = Circuit(arch.num_qubits, random_gates(rng, arch.num_qubits, 150))
+            stats["stalls"] += route(circuit, arch, config=config).schedule.stall_events
+        assert stats["phases"] > 40
+        # Under unit durations every lock ends on the next cycle, so an idle
+        # cycle frees every qubit and repeats until a gate is forced; with a
+        # stall limit of 1 the first idle cycle forces one.
+        assert (stats["skips"] > 0) == config.duration_aware
+        assert (stats["after_idle"] > 0) == (config.duration_aware and stall_limit is None)
+        assert (stats["stalls"] > 0) == (stall_limit == 1)
 
 
 def test_heuristic_swaps_match_search_from_scratch(monkeypatch):

@@ -7,7 +7,9 @@ of its ``Schedule.to_json()``.  The ``grid:10x10`` route hits stall events,
 so it goes through forced single-gate routing as well.  The 200-gate routes
 stall after every blocked cycle (stall limit 1) and, like the
 desperate-mode route, run out of a lowered SWAP budget and finish in
-desperate mode.
+desperate mode.  A program with barriers (zero-length locks) and terminal
+measures is routed with the default and with the ablated config (unit
+durations).
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ import random
 
 import pytest
 
-from codar_router import Circuit, GateKind, resolve_architecture, route
+from codar_router import Circuit, GateKind, RouterConfig, resolve_architecture, route
 from codar_router.verify import dependency_equivalence, replay_schedule
 
 from oracles import compliance_violations, is_commuting_reordering_reference
@@ -73,6 +75,31 @@ def test_desperate_mode_drains_the_program(tune_router):
     # one stall event each time.
     check_golden(arch, circuit, schedule, 100,
                  "8bf70bda43b41fd86b84c2f6de045c447524d155c89ef6695c1b8b09c2b8303b")
+
+
+def fenced_program(num_qubits: int, num_gates: int, rng: random.Random) -> Circuit:
+    """``random_program`` with a barrier over a few qubits before about one gate
+    in twenty, and a measure of every qubit at the end."""
+    circuit = Circuit(num_qubits)
+    for gate in random_program(num_qubits, num_gates, rng).gates:
+        if rng.random() < 0.05:
+            circuit.barrier(*rng.sample(range(num_qubits), rng.randint(2, 6)))
+        circuit.gates.append(gate)
+    for q in range(num_qubits):
+        circuit.measure(q)
+    return circuit
+
+
+@pytest.mark.parametrize("config, digest", [
+    (RouterConfig(), "a9bbe9d0d5cb278ad0f57d15f6e7ec333f8727e482b8d4be16250ede5b20b468"),
+    (RouterConfig(duration_aware=False, commutativity_on=False),
+     "45a86e1ab5091d592654ca6ec4bc46a96a001bde4f44cc2da8c2687b0435f6f8"),
+], ids=["default", "ablated"])
+def test_barriers_and_measures_golden_route(config, digest):
+    arch = resolve_architecture("grid:10x10")
+    circuit = fenced_program(arch.num_qubits, 400, random.Random(4))
+    schedule = route(circuit, arch, config=config).schedule
+    check_golden(arch, circuit, schedule, 0, digest)
 
 
 def check_golden(arch, circuit, schedule, stalls, digest):

@@ -127,6 +127,23 @@ def test_string_never_stands_in_for_punctuation(text, message):
         parse_program(text)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("include 5;\nqreg q[1];\nh q[0];\n", "expected quoted file name after include, got '5'"),
+    ("include qelib1;\nqreg q[1];\n", "expected quoted file name after include, got 'qelib1'"),
+    ("OPENQASM q;\nqreg q[1];\n", "expected version number after OPENQASM, got 'q'"),
+    ('OPENQASM "2.0";\nqreg q[1];\n', "expected version number after OPENQASM, got '\"2.0\"'"),
+])
+def test_header_statements_take_a_number_and_a_quoted_name(text, message):
+    with pytest.raises(QasmSyntaxError, match=re.escape(message)) as info:
+        parse_program(text)
+    assert info.value.line == 1
+
+
+def test_header_statements_accept_a_number_and_a_quoted_name():
+    c = parse_program('OPENQASM 2.0;\nOPENQASM 2;\ninclude "qelib1.inc";\nqreg q[1];\nh q[0];\n')
+    assert c.gates == [Gate(GateKind.H, (0,), (), None, 5)]
+
+
 def test_comment_marker_inside_a_string_belongs_to_the_string():
     c = parse_program('include "lib//qelib1.inc"; // "\nqreg q[1];\nh q[0];\n')
     assert c.gates == [Gate(GateKind.H, (0,), (), None, 3)]
