@@ -2,13 +2,18 @@
 
 Two independent routes: a scalable dependency check (strip routing SWAPs,
 map operands back to program qubits, and confirm the result is a commuting
-reordering of the source), and a dense statevector oracle for small qubit
-counts that compares amplitudes up to global phase.
+reordering of the source), and a dense statevector oracle for programs of at
+most ``ORACLE_QUBIT_LIMIT`` qubits.  The oracle runs source and routed
+programs from one seeded random input state and compares the outputs up to
+global phase.  Its kernel works on a flat state vector: CX and SWAP are index
+permutations, diagonal one-qubit gates multiply amplitudes in place, and
+other one-qubit gates are one matmul over the qubit's axis.
 """
 from __future__ import annotations
 
 import cmath
 import math
+import random
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -45,16 +50,6 @@ _FIXED_1Q = {
     GateKind.TDG: np.array([[1, 0], [0, cmath.exp(-1j * math.pi / 4)]], dtype=complex),
 }
 
-CX_MATRIX = np.array([[1, 0, 0, 0],
-                      [0, 1, 0, 0],
-                      [0, 0, 0, 1],
-                      [0, 0, 1, 0]], dtype=complex)
-SWAP_MATRIX = np.array([[1, 0, 0, 0],
-                        [0, 0, 1, 0],
-                        [0, 1, 0, 0],
-                        [0, 0, 0, 1]], dtype=complex)
-
-
 def _u3(theta: float, phi: float, lam: float) -> np.ndarray:
     c, s = math.cos(theta / 2), math.sin(theta / 2)
     return np.array([
@@ -64,7 +59,7 @@ def _u3(theta: float, phi: float, lam: float) -> np.ndarray:
 
 
 def gate_matrix(gate: Gate) -> np.ndarray:
-    """Unitary of one gate on its own operands (2x2 or 4x4)."""
+    """Unitary of a one-qubit gate (2x2)."""
     kind, p = gate.kind, gate.params
     if kind in _FIXED_1Q:
         return _FIXED_1Q[kind]
@@ -83,42 +78,63 @@ def gate_matrix(gate: Gate) -> np.ndarray:
         return _u3(math.pi / 2, p[0], p[1])
     if kind is GateKind.U3:
         return _u3(p[0], p[1], p[2])
-    if kind is GateKind.CX:
-        return CX_MATRIX
-    if kind is GateKind.SWAP:
-        return SWAP_MATRIX
-    raise ValueError(f"{kind.value} has no unitary")
+    raise ValueError(f"{kind.value} is not a one-qubit unitary")
 
 
-def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
-    """Apply a gate to a state tensor of shape (2,)*n (axis i = qubit i)."""
-    mat = gate_matrix(gate)
-    if len(gate.qubits) == 1:
-        q = gate.qubits[0]
-        out = np.tensordot(mat, state, axes=([1], [q]))
-        return np.moveaxis(out, 0, q)
-    qa, qb = gate.qubits
-    out = np.tensordot(mat.reshape(2, 2, 2, 2), state, axes=([2, 3], [qa, qb]))
-    return np.moveaxis(out, [0, 1], [qa, qb])
+# --- simulation kernel -----------------------------------------------------
+# The state is a flat vector of 2**n amplitudes with qubit 0 as the most
+# significant bit of the index, so ``state.reshape(2**q, 2, -1)`` puts qubit q
+# on the middle axis.
+
+_PHASES = {kind: complex(_FIXED_1Q[kind][1, 1])
+           for kind in (GateKind.Z, GateKind.S, GateKind.SDG, GateKind.T, GateKind.TDG)}
 
 
-def simulate_gates(gates, num_qubits: int) -> np.ndarray:
-    """Statevector after the gate list, from the all-zeros state."""
-    state = np.zeros((2,) * num_qubits, dtype=complex) if num_qubits else np.ones((), dtype=complex)
-    if num_qubits:
-        state[(0,) * num_qubits] = 1.0
+def _permutation(gate: Gate, num_qubits: int) -> np.ndarray:
+    """Index array ``perm`` such that ``state[perm]`` applies a CX or a SWAP.
+
+    Both gates permute the basis and are their own inverse, so the array
+    that scatters the amplitudes also gathers them.
+    """
+    index = np.arange(1 << num_qubits)
+    a, b = (num_qubits - 1 - q for q in gate.qubits)
+    if gate.kind is GateKind.CX:
+        return index ^ (((index >> a) & 1) << b)
+    differ = ((index >> a) ^ (index >> b)) & 1
+    return index ^ (differ << a) ^ (differ << b)
+
+
+def simulate_gates(gates, num_qubits: int, start: np.ndarray) -> np.ndarray:
+    """Statevector after applying the gate list to ``start``, of 2**n amplitudes.
+
+    A CX or SWAP gathers the amplitudes through an index array built once
+    per kind and operands in this call, a diagonal one-qubit gate multiplies
+    the |1> half of its qubit in place, and any other one-qubit gate is a
+    matmul over its qubit's axis.  Barriers and measurements are skipped.
+    """
+    state = np.array(start, dtype=complex)  # a copy: phases are applied in place
+    if state.shape != (1 << num_qubits,):
+        raise ValueError(f"start state has shape {state.shape}, expected ({1 << num_qubits},)")
+    perms: dict[tuple, np.ndarray] = {}
     for gate in gates:
-        if gate.kind in (GateKind.BARRIER, GateKind.MEASURE):
+        kind = gate.kind
+        if kind is GateKind.CX or kind is GateKind.SWAP:
+            key = (kind, gate.qubits)
+            perm = perms.get(key)
+            if perm is None:
+                perm = perms[key] = _permutation(gate, num_qubits)
+            state = state[perm]
+        elif kind is GateKind.BARRIER or kind is GateKind.MEASURE:
             continue
-        state = apply_gate(state, gate)
-    return state.reshape(-1)
-
-
-def gate_unitary(gate: Gate, num_qubits: int) -> np.ndarray:
-    """Full 2^n x 2^n matrix of one gate embedded in an n-qubit register."""
-    dim = 1 << num_qubits
-    cols = np.eye(dim, dtype=complex).reshape((2,) * num_qubits + (dim,))
-    return apply_gate(cols, gate).reshape(dim, dim)
+        else:
+            view = state.reshape(1 << gate.qubits[0], 2, -1)
+            if kind is GateKind.U1:
+                view[:, 1] *= cmath.exp(1j * gate.params[0])
+            elif kind in _PHASES:
+                view[:, 1] *= _PHASES[kind]
+            else:
+                state = np.matmul(gate_matrix(gate), view).reshape(-1)
+    return state
 
 
 def states_close(a: np.ndarray, b: np.ndarray) -> tuple[bool, float]:
@@ -261,6 +277,9 @@ def _strip_terminal_measures(gates: list[Gate]) -> list[Gate]:
 def statevector_oracle(original: Circuit, schedule: Schedule) -> tuple[bool, float]:
     """Simulate source and routed programs and compare up to global phase.
 
+    Both start from the same seeded random state rather than |0...0>, so a
+    gate that acts trivially on the zero state still counts: exchanging
+    ``x 0; t 0`` gives the same ray from |0> but not from a random input.
     The routed side is replayed in program-qubit coordinates (inserted SWAPs
     become relocations), which keeps the state space at the program's qubit
     count no matter how large the device is.  Terminal measurements are
@@ -273,9 +292,15 @@ def statevector_oracle(original: Circuit, schedule: Schedule) -> tuple[bool, flo
     replay = replay_schedule(schedule.items, schedule.initial_mapping)
     if replay.violations:
         return False, float("inf")
-    ref = simulate_gates(_strip_terminal_measures(list(original.gates)), n)
-    got = simulate_gates(_strip_terminal_measures(replay.logical_gates), n)
-    return states_close(ref, got)
+    source = _strip_terminal_measures(list(original.gates))
+    routed = _strip_terminal_measures(replay.logical_gates)
+    # Uniform random real and imaginary parts, from the standard library's
+    # generator: ``np.random`` would add its extension modules to every
+    # process that verifies.
+    words = np.frombuffer(random.Random(0).randbytes(16 << n), dtype="<u8")
+    start = (words / 2.0 ** 64 - 0.5).view(complex)
+    start /= math.sqrt(np.vdot(start, start).real)
+    return states_close(simulate_gates(source, n, start), simulate_gates(routed, n, start))
 
 
 def verify_equivalence(original: Circuit, schedule: Schedule,

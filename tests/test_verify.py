@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from codar_router import Circuit, Gate, GateKind, Mapping, parse_program, route
+from codar_router import Circuit, Gate, GateKind, Mapping, parse_program, route, verify
 from codar_router.router import Schedule, ScheduledGate
 from codar_router.verify import (
+    ORACLE_QUBIT_LIMIT,
     OracleLimitError,
     TooLargeForOracle,
     dependency_equivalence,
-    gate_matrix,
-    gate_unitary,
     replay_schedule,
     simulate_gates,
     statevector_oracle,
@@ -16,7 +15,7 @@ from codar_router.verify import (
     verify_equivalence,
 )
 
-from oracles import embed_unitary, random_unitary_gate
+from oracles import embed_unitary, random_unitary_gate, statevector_reference
 
 
 def identity_schedule(circuit: Circuit, num_physical: int | None = None) -> Schedule:
@@ -27,11 +26,18 @@ def identity_schedule(circuit: Circuit, num_physical: int | None = None) -> Sche
     return Schedule(items, init, init.copy())
 
 
+def random_state(rng, num_qubits: int) -> np.ndarray:
+    state = rng.normal(size=1 << num_qubits) + 1j * rng.normal(size=1 << num_qubits)
+    return state / np.linalg.norm(state)
+
+
 def test_swap_equals_three_cx():
-    product = gate_matrix(Gate(GateKind.CX, (0, 1)))
-    product = gate_matrix(Gate(GateKind.CX, (0, 1))) @ np.array(
-        gate_unitary(Gate(GateKind.CX, (1, 0)), 2)) @ gate_matrix(Gate(GateKind.CX, (0, 1)))
-    assert np.allclose(product, gate_matrix(Gate(GateKind.SWAP, (0, 1))))
+    swap = embed_unitary(Gate(GateKind.SWAP, (0, 1)), 2)
+    three_cx = [Gate(GateKind.CX, (0, 1)), Gate(GateKind.CX, (1, 0)), Gate(GateKind.CX, (0, 1))]
+    for col in np.eye(4):
+        assert np.allclose(simulate_gates(three_cx, 2, col), swap @ col, atol=1e-12)
+        assert np.allclose(simulate_gates([Gate(GateKind.SWAP, (0, 1))], 2, col), swap @ col,
+                           atol=1e-12)
 
 
 def test_swap_decomposition_passes_oracle():
@@ -46,13 +52,69 @@ def test_swap_decomposition_passes_oracle():
     assert ok2
 
 
-def test_gate_unitary_matches_independent_embedding():
+def test_simulate_gates_matches_embedded_unitaries():
+    # Seeded random gate lists on 0 to 6 qubits, from a random start, against
+    # the product of independently embedded unitaries.  The coverage below is
+    # asserted so that a change of seed or generator cannot thin it out:
+    # every unitary kind, CX both ways round, SWAP between non-adjacent
+    # qubits, and both in-place phases and matmuls on the first and last
+    # qubit, where the kernel's reshape has an outer or inner axis of one.
     import random
-    rng = random.Random(3)
-    for _ in range(120):
-        n = rng.randint(1, 4)
-        gate = random_unitary_gate(rng, n)
-        assert np.allclose(gate_unitary(gate, n), embed_unitary(gate, n), atol=1e-12)
+    phases = {GateKind.Z, GateKind.S, GateKind.SDG, GateKind.T, GateKind.TDG, GateKind.U1}
+    rng = random.Random(5)
+    nprng = np.random.default_rng(5)
+    seen = set()
+    for trial in range(90):
+        n = trial % 7
+        gates = [random_unitary_gate(rng, n) for _ in range(rng.randint(1, 14))] if n else []
+        start = random_state(nprng, n)
+        got = simulate_gates(gates, n, start)
+        assert np.allclose(got, statevector_reference(gates, n, start), atol=1e-12), (trial, gates)
+        for g in gates:
+            seen.add(g.kind)
+            if g.kind is GateKind.CX:
+                seen.add("cx-up" if g.qubits[0] < g.qubits[1] else "cx-down")
+            elif g.kind is GateKind.SWAP and abs(g.qubits[0] - g.qubits[1]) > 1:
+                seen.add("swap-apart")
+            elif len(g.qubits) == 1 and g.qubits[0] in (0, n - 1) and n > 1:
+                seen.add(("edge", g.qubits[0] == 0, g.kind in phases))
+    unitary_kinds = {k for k in GateKind if k.is_unitary}
+    assert seen >= unitary_kinds | {"cx-up", "cx-down", "swap-apart"}
+    assert {("edge", first, phase) for first in (True, False) for phase in (True, False)} <= seen
+
+
+def test_simulate_gates_matches_reference_at_the_oracle_limit():
+    # A few hundred gates at ORACLE_QUBIT_LIMIT, drawn from a pool of distinct
+    # gates so the reference embeds each 1024x1024 unitary once.
+    import random
+    n = ORACLE_QUBIT_LIMIT
+    rng = random.Random(11)
+    pool = [random_unitary_gate(rng, n) for _ in range(14)] + [
+        Gate(GateKind.CX, (0, n - 1)), Gate(GateKind.CX, (n - 1, 0)),
+        Gate(GateKind.SWAP, (0, n - 1)), Gate(GateKind.H, (0,)), Gate(GateKind.T, (n - 1,)),
+        Gate(GateKind.U1, (0,), (0.9,))]
+    gates = [rng.choice(pool) for _ in range(300)]
+    start = random_state(np.random.default_rng(11), n)
+    assert np.allclose(simulate_gates(gates, n, start), statevector_reference(gates, n, start),
+                       atol=1e-12)
+
+
+def test_simulate_gates_edge_cases():
+    # No qubits: the 1-element start comes back unchanged, and the oracle
+    # compares one amplitude on each side.
+    assert np.array_equal(simulate_gates([], 0, np.array([1j])), np.array([1j]))
+    assert statevector_oracle(Circuit(0), identity_schedule(Circuit(0))) == (True, 0.0)
+    # Barriers and measurements are skipped, and the caller's start is not
+    # written to by the in-place phases.
+    start = random_state(np.random.default_rng(2), 3)
+    kept = start.copy()
+    gates = [Gate(GateKind.T, (2,)), Gate(GateKind.H, (0,)), Gate(GateKind.CX, (0, 2))]
+    fenced = [gates[0], Gate(GateKind.BARRIER, (0, 1, 2)), gates[1],
+              Gate(GateKind.MEASURE, (1,), cbit=1), gates[2], Gate(GateKind.MEASURE, (0,), cbit=0)]
+    assert np.array_equal(simulate_gates(fenced, 3, start), simulate_gates(gates, 3, start))
+    assert np.array_equal(start, kept)
+    with pytest.raises(ValueError, match="shape"):
+        simulate_gates(gates, 3, np.ones(4))
 
 
 def test_identical_circuits_pass_oracle():
@@ -72,9 +134,6 @@ def _replace_swaps_with_cx(schedule: Schedule) -> Schedule:
 
 
 def test_oracle_detects_swap_replaced_by_cx(square4):
-    # Superposition on the moved qubit is what makes a fake SWAP visible to a
-    # |0...0>-input oracle; a diagonal prefix would hide it (the dependency
-    # check covers that case, see below).
     circ = Circuit(4).h(0).t(1).cx(0, 2).cx(0, 3)
     result = route(circ, square4)
     assert result.schedule.swap_count >= 1
@@ -100,7 +159,7 @@ def test_oracle_global_phase_insensitive():
     ok, err = statevector_oracle(a, identity_schedule(b))
     assert ok and err < 1e-12
     # also at the raw comparison level
-    state = simulate_gates(a.gates, 1)
+    state = simulate_gates(a.gates, 1, np.array([0.6, 0.8]))
     assert states_close(state, np.exp(0.25j) * state)[0]
 
 
@@ -110,11 +169,33 @@ def test_oracle_size_limit():
         statevector_oracle(big, identity_schedule(big))
 
 
-def test_oracle_rejects_mid_circuit_measure():
+def test_oracle_rejects_mid_circuit_measure(monkeypatch):
+    def simulated(*args):
+        raise AssertionError("simulated before the measure was rejected")
+
+    monkeypatch.setattr(verify, "simulate_gates", simulated)
     circ = Circuit(1).measure(0)
     circ.x(0)
     with pytest.raises(OracleLimitError):
         statevector_oracle(circ, identity_schedule(circ))
+    # Also when only the routed side measures mid-circuit.
+    routed = Circuit(1).x(0).measure(0)
+    routed.x(0)
+    with pytest.raises(OracleLimitError):
+        statevector_oracle(Circuit(1).x(0).x(0), identity_schedule(routed))
+
+
+def test_oracle_starts_from_a_random_state():
+    # From |0>, exchanging ``x 0; t 0`` gives the same state up to phase
+    # (T only rephases |1>), so only a random input tells the orders apart.
+    a = Gate(GateKind.X, (0,))
+    b = Gate(GateKind.T, (0,))
+    ok, err = statevector_oracle(Circuit(1, [a, b]), identity_schedule(Circuit(1, [b, a])))
+    assert not ok and err > 0.1
+    # The comparison stays phase-insensitive: ``x 0; z 0`` exchanged is the
+    # same operator up to the global phase -1 (XZ = -ZX), so it passes.
+    z = Gate(GateKind.Z, (0,))
+    assert statevector_oracle(Circuit(1, [a, z]), identity_schedule(Circuit(1, [z, a])))[0]
 
 
 def test_dependency_identity_routing():
@@ -182,10 +263,11 @@ def test_emitted_decomposed_file_simulates_to_original(square4):
     result = route(circ, square4)
     reparsed = parse_program(emit_program(result.routed, decompose_swap=True))
     assert all(g.kind is not GateKind.SWAP for g in reparsed.gates)
-    phys = simulate_gates(reparsed.gates, square4.num_qubits)
+    zero = np.eye(16)[0]
+    phys = simulate_gates(reparsed.gates, square4.num_qubits, zero)
     perm = result.schedule.final_mapping.forward
     relabeled = np.transpose(phys.reshape([2] * 4), perm).reshape(-1)
-    ref = simulate_gates(circ.gates, 4)
+    ref = simulate_gates(circ.gates, 4, zero)
     ok, err = states_close(ref, relabeled)
     assert ok and err < 1e-12
 
@@ -239,9 +321,9 @@ def corrupted_schedules(schedule: Schedule, num_logical: int, rng, per_kind: int
 
 
 def test_dependency_check_never_accepts_what_the_oracle_rejects(demo6):
-    # One direction only: the oracle starts from |0...0>, so it accepts some
-    # real corruptions (``x 0; z 0`` exchanged gives the same state up to
-    # phase) that the dependency check rightly rejects.
+    # One direction only: the oracle compares up to global phase, so it
+    # accepts exchanges whose two orders differ only by a phase (``x 0; z 0``,
+    # as XZ = -ZX) that the dependency check rejects as non-commuting.
     import random
 
     from codar_router import grid_architecture
