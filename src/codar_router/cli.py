@@ -30,15 +30,7 @@ from .router import (
     rescore_true_durations,
     route,
 )
-from .verify import verify_equivalence
-
-
-def _policy_dict(cfg: RouterConfig, init_policy: str) -> dict:
-    return {
-        "duration_aware": cfg.duration_aware,
-        "commutativity": cfg.commutativity_on,
-        "initial_mapping": init_policy,
-    }
+from .verify import EquivalenceReport, verify_equivalence
 
 
 def _load_circuit(path: Path) -> Circuit:
@@ -58,14 +50,17 @@ def _write_text(path: str, text: str) -> None:
 
 
 def build_report(name: str, arch: Architecture, result: RoutingResult,
-                 original: Circuit, cfg: RouterConfig, init_policy: str,
-                 oracle: str, wall_time_ms: float) -> dict:
-    equivalence = verify_equivalence(original, result.schedule, oracle=oracle)
+                 cfg: RouterConfig, init_policy: str, equivalence: EquivalenceReport,
+                 wall_time_ms: float) -> dict:
     schedule = result.schedule
     report = {
         "circuit": name,
         "arch": arch.name,
-        "policy": _policy_dict(cfg, init_policy),
+        "policy": {
+            "duration_aware": cfg.duration_aware,
+            "commutativity": cfg.commutativity_on,
+            "initial_mapping": init_policy,
+        },
         "weighted_depth": schedule.weighted_depth,
         "swap_count": schedule.swap_count,
         "gate_count": len(result.routed.gates),
@@ -111,8 +106,8 @@ def run_route(args) -> int:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return 1
     wall_ms = (time.perf_counter() - start) * 1000.0
-    report = build_report(path.stem, arch, result, circuit, cfg, init_policy,
-                          args.oracle, wall_ms)
+    equivalence = verify_equivalence(circuit, result.schedule)
+    report = build_report(path.stem, arch, result, cfg, init_policy, equivalence, wall_ms)
 
     routed_text = emit_program(result.routed, decompose_swap=args.decompose_swap)
     if args.output:
@@ -122,13 +117,12 @@ def run_route(args) -> int:
     if args.report:
         _write_text(args.report, json.dumps(report, sort_keys=True, indent=2) + "\n")
 
-    eq = report["equivalence"]
     summary = (f"{path.stem} on {arch.name}: depth={report['weighted_depth']} "
                f"swaps={report['swap_count']} stalls={report['stall_events']} "
-               f"dependency_ok={eq['dependency_ok']} oracle_ok={eq['oracle_ok']}")
+               f"dependency_ok={equivalence.dependency_ok} oracle_ok={equivalence.oracle_ok}")
     print(summary, file=sys.stderr)
-    if not eq["dependency_ok"] or eq["oracle_ok"] is False:
-        for detail in eq["details"]:
+    if not equivalence.ok:
+        for detail in equivalence.details:
             print(f"verification: {detail}", file=sys.stderr)
         return 2
     return 0
@@ -262,8 +256,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_route.add_argument("--init", choices=["identity", "reverse"], default="identity")
     p_route.add_argument("--decompose-swap", action="store_true",
                          help="emit each SWAP as three CX gates")
-    p_route.add_argument("--oracle", choices=["auto", "off"], default="auto",
-                         help="statevector equivalence check (auto skips large circuits)")
     p_route.set_defaults(func=run_route)
 
     p_bench = sub.add_parser("bench", help="compare policies over a corpus directory")

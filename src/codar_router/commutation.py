@@ -126,7 +126,7 @@ def no_predecessor_front(gates) -> set[int]:
 
 
 class LaneFrontier:
-    """CF front of a gate list that loses gates, kept over per-qubit lanes.
+    """CF front of a gate list that loses front gates, kept over per-qubit lanes.
 
     The lane of a qubit is the ordered list of remaining gates that touch it.
     A gate commutes with every earlier gate sharing a qubit exactly when, for
@@ -137,11 +137,15 @@ class LaneFrontier:
     positions in its front, e.g. ``cf_front(gates, lane=qubit)``.  For the
     gates :func:`~codar_router.qasm.validate` accepts, such a front is a
     *run*: the lane's first positions, here the gates whose key on the lane's
-    qubit equals the head's.  So the frontier keeps one count per lane, the
-    length of its run, and one per gate, the number of its lanes whose runs
-    do not hold it yet; a gate is in the front when that count is 0.
-    Removing gates of a run only shortens it, so a lane goes back through
-    ``front_of`` only when its run empties or a removed gate sat past it.
+    qubit equals the head's.  So the frontier keeps two counts per lane, the
+    length of its run and how many of the run's gates remain, and one per
+    gate, the number of its lanes whose runs do not hold it yet; a gate is in
+    the front when that count is 0.
+
+    Only front gates can be removed, and a front gate lies inside the run of
+    each of its lanes, so a removal only counts down the runs it sits in.  A
+    lane changes only once its run is spent: it then drops the run whole and
+    goes back through ``front_of``.
     """
 
     def __init__(self, gates, front_of):
@@ -154,48 +158,48 @@ class LaneFrontier:
                 self._lanes.setdefault(q, []).append(i)
                 self._lane_gates.setdefault(q, []).append(gate)
         self._run = dict.fromkeys(self._lanes, 0)
+        self._left = dict.fromkeys(self._lanes, 0)
         self._outside = [len(set(gate.qubits)) for gate in gates]
         #: Indices, into the gate list, of the remaining gates in the front.
         self.front: set[int] = {i for i, gate in enumerate(gates) if not gate.qubits}
         self.front |= self._extend(self._lanes)
 
-    def lane(self, qubit: int) -> list[int]:
-        """Indices of the remaining gates on ``qubit``, in list order."""
-        return self._lanes.get(qubit, [])
-
     def remove(self, indices) -> set[int]:
-        """Drop gates from the list and bring the front up to date.
+        """Drop front gates from the list and bring the front up to date.
 
         Returns the gates that entered the front.  Dropping gates only
         removes marks from lanes, so no remaining gate leaves the front: the
         entrants are the whole change besides the dropped gates themselves.
+        Raises :class:`ValueError`, before any change, when an index is not
+        in the front.
         """
-        stale: set[int] = set()
-        run = self._run
+        front = self.front
+        for i in indices:
+            if i not in front:
+                raise ValueError(f"gate {i} is not in the front")
+        spent: list[int] = []
+        left = self._left
         for i in indices:
             for q in dict.fromkeys(self._gates[i].qubits):
-                lane = self._lanes[q]
-                pos = lane.index(i)
-                del lane[pos]
-                del self._lane_gates[q][pos]
-                if pos < run[q]:
-                    run[q] -= 1
-                    if run[q]:
-                        continue
-                stale.add(q)
-        self.front.difference_update(indices)
-        entered = self._extend(stale)
-        self.front |= entered
+                left[q] -= 1
+                if not left[q]:
+                    spent.append(q)
+        front.difference_update(indices)
+        entered = self._extend(spent)
+        front |= entered
         return entered
 
     def _extend(self, qubits) -> set[int]:
-        """Rescan lanes and count their run's new gates; returns those now in the front."""
+        """Drop the spent runs of lanes and rescan them; returns the gates now in the front."""
         entered = set()
         outside = self._outside
         for q in qubits:
-            held = self._run[q]
-            self._run[q] = len(self._front_of(self._lane_gates[q], q))
-            for i in self._lanes[q][held:self._run[q]]:
+            lane, lane_gates = self._lanes[q], self._lane_gates[q]
+            run = self._run[q]
+            del lane[:run]
+            del lane_gates[:run]
+            run = self._run[q] = self._left[q] = len(self._front_of(lane_gates, q))
+            for i in lane[:run]:
                 outside[i] -= 1
                 if not outside[i]:
                     entered.add(i)

@@ -404,9 +404,9 @@ class _Router:
         # Its keys are the lock values above the clock.
         self.releases: dict[int, list[int]] = {}
         self.items: list[ScheduledGate] = []
-        self.pending: dict[int, Gate] = dict(enumerate(circuit.gates))
-        self.frontier = LaneFrontier(circuit.gates, self._lane_front)
-        self.search = _SwapSearch(circuit.gates, self.placement, arch)
+        self.gates = circuit.gates
+        self.frontier = LaneFrontier(self.gates, self._lane_front)
+        self.search = _SwapSearch(self.gates, self.placement, arch)
         self.search.add(self.frontier.front)
         self.t = 0
         self.stall_counter = 0
@@ -433,7 +433,7 @@ class _Router:
     # launch phase --------------------------------------------------------
     def _launch_ready(self) -> bool:
         launched = False
-        fwd, blocked = self.placement.fwd, self.search.blocked
+        gates, fwd, blocked = self.gates, self.placement.fwd, self.search.blocked
         locks, t = self.locks, self.t
         ready = self.frontier.front
         while True:
@@ -441,7 +441,7 @@ class _Router:
             for seq in sorted(ready):
                 if seq in blocked:
                     continue
-                gate = self.pending[seq]
+                gate = gates[seq]
                 if any(locks[fwd[q]] > t for q in gate.qubits):
                     continue
                 pgate = gate.with_qubits(tuple(fwd[q] for q in gate.qubits))
@@ -450,8 +450,6 @@ class _Router:
             if not taken:
                 return launched
             launched = True
-            for seq in taken:
-                del self.pending[seq]
             self.search.discard(taken)
             # Within a cycle the placement is fixed and locks only tighten,
             # so a gate that could not launch still cannot: only the gates
@@ -484,7 +482,7 @@ class _Router:
         """The SWAP search restricted to the forced gate, as ``_SwapSearch.best`` picks."""
         if self.forced_seq not in self.search.blocked:
             return False
-        gate = self.pending[self.forced_seq]
+        gate = self.gates[self.forced_seq]
         fwd = self.placement.fwd
         best = None
         best_score = 0
@@ -512,9 +510,11 @@ class _Router:
 
     # main loop -----------------------------------------------------------
     def run(self) -> Schedule:
-        while self.pending:
+        # The earliest remaining gate is always in the front, so the program
+        # is drained exactly when the front is empty.
+        while self.frontier.front:
             launched = self._launch_ready()
-            if self.forced_seq not in self.pending:
+            if self.forced_seq not in self.frontier.front:
                 self.forced_seq = None
             blocked = self.search.blocked
             if self.forced_seq is None and blocked and (

@@ -196,6 +196,7 @@ def _is_commuting_reordering(original: list[Gate],
     for i, gate in enumerate(original):
         buckets[gate.signature()].append(i)
     frontier = LaneFrontier(original, lambda gates, q: cf_front(gates, lane=q))
+    used = [False] * len(original)
     cursor: dict[tuple, int] = defaultdict(int)
     for k, gate in enumerate(candidate):
         sig = gate.signature()
@@ -207,11 +208,12 @@ def _is_commuting_reordering(original: list[Gate],
         if idx not in frontier.front:
             # The earliest unused source gate that keeps it out of the front.
             source = original[idx]
-            blocker = min(j for q in source.qubits for j in frontier.lane(q)
-                          if j < idx and not commutes(original[j], source))
+            blocker = min(j for j in range(idx)
+                          if not used[j] and not commutes(original[j], source))
             return False, [
                 f"{gate} at position {k} jumped before non-commuting {original[blocker]}"]
         cursor[sig] = pos + 1
+        used[idx] = True
         frontier.remove((idx,))
     leftovers = [sig for sig, queue in buckets.items() if cursor[sig] != len(queue)]
     if leftovers:
@@ -303,18 +305,12 @@ def statevector_oracle(original: Circuit, schedule: Schedule) -> tuple[bool, flo
     return states_close(simulate_gates(source, n, start), simulate_gates(routed, n, start))
 
 
-def verify_equivalence(original: Circuit, schedule: Schedule,
-                       oracle: str = "auto") -> EquivalenceReport:
-    """Run the dependency check plus, unless ``oracle`` is ``"off"``, the oracle.
+def verify_equivalence(original: Circuit, schedule: Schedule) -> EquivalenceReport:
+    """Run the dependency check plus the oracle.
 
-    With ``"auto"`` the oracle is skipped, with the reason in the details,
-    where it cannot run.
+    Where the oracle cannot run it is skipped, with the reason in the details.
     """
-    if oracle not in ("auto", "off"):
-        raise ValueError(f"oracle must be 'auto' or 'off', not {oracle!r}")
     report = dependency_equivalence(original, schedule)
-    if oracle == "off":
-        return report
     try:
         ok, err = statevector_oracle(original, schedule)
     except OracleLimitError as exc:

@@ -24,7 +24,7 @@ from codar_router import (
 from codar_router.arch import Architecture, CouplingGraph, DEFAULT_DURATIONS, grid_architecture
 from codar_router.router import heuristic_priority
 from codar_router.cli import bench_corpus
-from codar_router.verify import statevector_oracle, verify_equivalence
+from codar_router.verify import dependency_equivalence, statevector_oracle
 
 from oracles import cf_front_bruteforce, compliance_violations, floyd_warshall, random_unitary_gate
 from test_properties import connected_graph, make_arch, random_circuit
@@ -115,7 +115,7 @@ def test_criterion_6_equivalence_suite(corpus_dir, square4):
             if circuit.num_qubits > arch.num_qubits:
                 continue
             result = route(circuit, arch)
-            rep = verify_equivalence(circuit, result.schedule, oracle="off")
+            rep = dependency_equivalence(circuit, result.schedule)
             assert rep.dependency_ok, (path.name, arch.name, rep.details)
             checked += 1
             if circuit.num_qubits <= 10:

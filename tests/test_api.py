@@ -52,7 +52,7 @@ def test_settings_are_pinned():
     expected = {
         cr.route: ["circuit", "arch", "init", "config"],
         cr.initial_mapping: ["circuit", "arch", "policy", "config"],
-        cr.verify_equivalence: ["original", "schedule", "oracle"],
+        cr.verify_equivalence: ["original", "schedule"],
         cr.dependency_equivalence: ["original", "schedule"],
         cr.statevector_oracle: ["original", "schedule"],
         cr.emit_program: ["circuit", "decompose_swap"],

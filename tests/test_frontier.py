@@ -83,12 +83,10 @@ def test_lane_frontier_matches_full_rescan(seed):
             expected = (cf_front_reference(rest) if commutativity_on
                         else no_predecessor_front_reference(rest))
             assert frontier.front == {remaining[k] for k in expected}
-            for q in range(n):
-                assert frontier.lane(q) == [i for i in remaining if q in gates[i].qubits]
             if not remaining:
                 break
-            # Mostly launch-like rounds from the front; sometimes any gates.
-            pool = sorted(frontier.front) if frontier.front and rng.random() < 0.75 else remaining
+            # Launch-like rounds: only front gates are ever removed.
+            pool = sorted(frontier.front)
             batch = rng.sample(pool, rng.randint(1, min(3, len(pool))))
             before = set(frontier.front)
             entered = frontier.remove(batch)
@@ -142,6 +140,23 @@ def test_lane_frontier_rescans_a_lane_only_once_its_run_empties():
     # Once at construction and once when the last gate leaves, not once per
     # removal.
     assert calls == [0, 0]
+
+
+def test_lane_frontier_refuses_to_remove_a_gate_outside_the_front():
+    # CX(0,1) waits behind H(0); X(1) commutes with its target, so it is in
+    # the front with H(0) and X(2).
+    gates = [Gate(GateKind.H, (0,)), Gate(GateKind.CX, (0, 1)), Gate(GateKind.X, (1,)),
+             Gate(GateKind.X, (2,))]
+    frontier = LaneFrontier(gates, lambda lane, q: cf_front(lane, lane=q))
+    assert frontier.front == {0, 2, 3}
+    with pytest.raises(ValueError, match="gate 1 is not in the front"):
+        frontier.remove((3, 1, 2))
+    # Nothing changed: the front gates named before the bad one are still
+    # there, and removing them later works as if the refused call never ran.
+    assert frontier.front == {0, 2, 3}
+    assert frontier.remove((3, 2)) == set()
+    assert frontier.remove((0,)) == {1}
+    assert frontier.front == {1}
 
 
 def test_ablated_lane_rescan_reads_only_the_lane_head(monkeypatch):
@@ -406,7 +421,7 @@ def test_candidate_map_matches_search_from_scratch_in_every_phase(monkeypatch, t
     def checked_refresh(self, locks, t):
         found = refresh(self, locks, t)
         (router,) = current
-        front = [router.pending[seq] for seq in sorted(router.frontier.front)]
+        front = [router.gates[seq] for seq in sorted(router.frontier.front)]
         scores = swap_scores_reference(front, router.placement, locks, t, router.arch)
         assert found == {edge: score for edge, score in scores.items() if score > 0}
         return found
@@ -454,7 +469,7 @@ def test_heuristic_swaps_match_search_from_scratch(monkeypatch):
 
     def checked_launch_swap(self, edge):
         if self.forced_seq is None:
-            front = [self.pending[seq] for seq in sorted(self.frontier.front)]
+            front = [self.gates[seq] for seq in sorted(self.frontier.front)]
             assert edge == best_swap_reference(front, self.placement, self.locks, self.t,
                                                self.arch)
             key = (self, self.t)
@@ -479,7 +494,7 @@ def test_forced_swap_matches_single_gate_search_from_scratch(monkeypatch, tune_r
     forced_swap = router_module._Router._forced_swap
 
     def checked_forced_swap(self):
-        target = self.pending[self.forced_seq]
+        target = self.gates[self.forced_seq]
         mapping, locks, t = self.placement.copy(), list(self.locks), self.t
         swapped = forced_swap(self)
         chosen = self.items[-1].gate.qubits if swapped else None

@@ -70,7 +70,7 @@ def test_desperate_mode_drains_the_program(tune_router):
 
     (router,) = routers
     assert router.desperate and router.n_swaps > router.swap_cap
-    assert not router.pending
+    assert not router.frontier.front
     # Desperate mode forces the oldest blocked gate whenever none is forced,
     # one stall event each time.
     check_golden(arch, circuit, schedule, 100,

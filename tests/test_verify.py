@@ -276,12 +276,10 @@ def test_verify_equivalence_oracle_modes(corpus_dir):
     big = parse_program((corpus_dir / "random_cx_16.qasm").read_text(encoding="utf-8"))
     from codar_router import grid_architecture
     result = route(big, grid_architecture(6, 6))
-    report = verify_equivalence(big, result.schedule, oracle="auto")
+    report = verify_equivalence(big, result.schedule)
     assert report.dependency_ok
     assert report.oracle_ok is None  # 16 qubits: skipped, reason recorded
     assert any("oracle skipped" in d for d in report.details)
-    with pytest.raises(ValueError, match="'auto' or 'off', not 'bogus'"):
-        verify_equivalence(big, result.schedule, oracle="bogus")
 
 
 # --- dependency check against the oracle on corrupted schedules -------------
