@@ -201,8 +201,7 @@ def architecture_to_config(arch: Architecture) -> dict:
     }
 
 
-def grid_architecture(rows: int, cols: int,
-                      durations: dict[GateKind, int] | None = None) -> Architecture:
+def grid_architecture(rows: int, cols: int) -> Architecture:
     """Rows-by-cols lattice with horizontal and vertical neighbor couplings."""
     if rows < 1 or cols < 1:
         raise ArchitectureError("grid dimensions must be >= 1")
@@ -215,8 +214,7 @@ def grid_architecture(rows: int, cols: int,
             if r + 1 < rows:
                 edges.append((q, q + cols))
     graph = CouplingGraph.from_edges(rows * cols, edges)
-    return _build(f"grid-{rows}x{cols}",
-                  graph, dict(durations) if durations else dict(DEFAULT_DURATIONS))
+    return _build(f"grid-{rows}x{cols}", graph, DEFAULT_DURATIONS)
 
 
 PRESET_NAMES = ("square4", "demo6", "q16-melbourne", "q20-tokyo", "q54-sycamore")

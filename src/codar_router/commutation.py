@@ -164,19 +164,19 @@ class LaneFrontier:
         self.front: set[int] = {i for i, gate in enumerate(gates) if not gate.qubits}
         self.front |= self._extend(self._lanes)
 
-    def remove(self, indices) -> set[int]:
-        """Drop front gates from the list and bring the front up to date.
+    def remove(self, indices: set[int]) -> set[int]:
+        """Drop a set of front gates from the list and bring the front up to date.
 
         Returns the gates that entered the front.  Dropping gates only
         removes marks from lanes, so no remaining gate leaves the front: the
         entrants are the whole change besides the dropped gates themselves.
         Raises :class:`ValueError`, before any change, when an index is not
-        in the front.
+        in the front.  A set names each gate once; any other collection
+        raises :class:`TypeError`.
         """
         front = self.front
-        for i in indices:
-            if i not in front:
-                raise ValueError(f"gate {i} is not in the front")
+        if not indices <= front:
+            raise ValueError(f"gate {min(indices - front)} is not in the front")
         spent: list[int] = []
         left = self._left
         for i in indices:

@@ -263,8 +263,8 @@ class _SwapSearch:
     """SWAP-search state kept for a whole route and updated only where it changed.
 
     It holds the front's two-qubit gates indexed by the physical qubit of each
-    operand, with the physical qubit of the other operand, the blocked
-    (non-compliant) ones among them with a count per physical qubit, and
+    operand, with the physical qubit of the other operand, the source
+    indices of the blocked (non-compliant) ones among them, and
     :attr:`found`, the map from each strictly positive scoring SWAP candidate
     to its score, as :func:`candidate_swaps` and :func:`heuristic_priority`
     would give them over the whole front.
@@ -288,7 +288,6 @@ class _SwapSearch:
         self.on_qubit: list[dict[int, int]] = [{} for _ in range(arch.num_qubits)]
         #: Source indices of the blocked front two-qubit gates.
         self.blocked: set[int] = set()
-        self.endpoints: dict[int, int] = {}
         self.found: dict[tuple[int, int], int] = {}
         #: Physical qubits whose lock or gates changed since the last refresh.
         self.dirty: set[int] = set()
@@ -308,8 +307,6 @@ class _SwapSearch:
             self.on_qubit[b][seq] = a
             if dist[a][b] != 1:
                 self.blocked.add(seq)
-                self.endpoints[a] = self.endpoints.get(a, 0) + 1
-                self.endpoints[b] = self.endpoints.get(b, 0) + 1
             self.dirty.add(a)
             self.dirty.add(b)
 
@@ -323,12 +320,7 @@ class _SwapSearch:
             a, b = fwd[gate.qubits[0]], fwd[gate.qubits[1]]
             del self.on_qubit[a][seq]
             del self.on_qubit[b][seq]
-            if seq in self.blocked:
-                self.blocked.discard(seq)
-                for p in (a, b):
-                    self.endpoints[p] -= 1
-                    if not self.endpoints[p]:
-                        del self.endpoints[p]
+            self.blocked.discard(seq)
             self.dirty.add(a)
             self.dirty.add(b)
 
@@ -363,8 +355,8 @@ class _SwapSearch:
         them holds an operand of a blocked gate, as in :func:`candidate_swaps`,
         and it stays in the map while its score is positive.
         """
-        found, edges_at, endpoints, dirty = self.found, self.edges_at, self.endpoints, self.dirty
-        score = self.score
+        found, edges_at, on_qubit, dirty = self.found, self.edges_at, self.on_qubit, self.dirty
+        blocked, score = self.blocked, self.score
         for p in dirty:
             if locks[p] > t:
                 if found:
@@ -373,7 +365,8 @@ class _SwapSearch:
                 continue
             for edge in edges_at[p]:
                 a, b = edge
-                if locks[a] <= t and locks[b] <= t and (a in endpoints or b in endpoints):
+                if locks[a] <= t and locks[b] <= t and not (
+                        blocked.isdisjoint(on_qubit[a]) and blocked.isdisjoint(on_qubit[b])):
                     gain = score(a, b)
                     if gain > 0:
                         found[edge] = gain
@@ -437,7 +430,7 @@ class _Router:
         locks, t = self.locks, self.t
         ready = self.frontier.front
         while True:
-            taken: list[int] = []
+            taken: set[int] = set()
             for seq in sorted(ready):
                 if seq in blocked:
                     continue
@@ -446,7 +439,7 @@ class _Router:
                     continue
                 pgate = gate.with_qubits(tuple(fwd[q] for q in gate.qubits))
                 self._issue(pgate)
-                taken.append(seq)
+                taken.add(seq)
             if not taken:
                 return launched
             launched = True

@@ -43,11 +43,6 @@ _FIXED_1Q = {
     GateKind.H: np.array([[1, 1], [1, -1]], dtype=complex) * _SQ2,
     GateKind.X: np.array([[0, 1], [1, 0]], dtype=complex),
     GateKind.Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
-    GateKind.Z: np.array([[1, 0], [0, -1]], dtype=complex),
-    GateKind.S: np.array([[1, 0], [0, 1j]], dtype=complex),
-    GateKind.SDG: np.array([[1, 0], [0, -1j]], dtype=complex),
-    GateKind.T: np.array([[1, 0], [0, cmath.exp(1j * math.pi / 4)]], dtype=complex),
-    GateKind.TDG: np.array([[1, 0], [0, cmath.exp(-1j * math.pi / 4)]], dtype=complex),
 }
 
 def _u3(theta: float, phi: float, lam: float) -> np.ndarray:
@@ -59,7 +54,10 @@ def _u3(theta: float, phi: float, lam: float) -> np.ndarray:
 
 
 def gate_matrix(gate: Gate) -> np.ndarray:
-    """Unitary of a one-qubit gate (2x2)."""
+    """Unitary (2x2) of a one-qubit gate that is not U1 or in ``_PHASES``.
+
+    :func:`simulate_gates` applies those as phases, without a matrix.
+    """
     kind, p = gate.kind, gate.params
     if kind in _FIXED_1Q:
         return _FIXED_1Q[kind]
@@ -72,8 +70,6 @@ def gate_matrix(gate: Gate) -> np.ndarray:
     if kind is GateKind.RZ:
         return np.array([[cmath.exp(-1j * p[0] / 2), 0],
                          [0, cmath.exp(1j * p[0] / 2)]], dtype=complex)
-    if kind is GateKind.U1:
-        return np.array([[1, 0], [0, cmath.exp(1j * p[0])]], dtype=complex)
     if kind is GateKind.U2:
         return _u3(math.pi / 2, p[0], p[1])
     if kind is GateKind.U3:
@@ -86,8 +82,14 @@ def gate_matrix(gate: Gate) -> np.ndarray:
 # significant bit of the index, so ``state.reshape(2**q, 2, -1)`` puts qubit q
 # on the middle axis.
 
-_PHASES = {kind: complex(_FIXED_1Q[kind][1, 1])
-           for kind in (GateKind.Z, GateKind.S, GateKind.SDG, GateKind.T, GateKind.TDG)}
+# The phase each fixed diagonal gate puts on |1>; U1's is its angle.
+_PHASES = {
+    GateKind.Z: -1,
+    GateKind.S: 1j,
+    GateKind.SDG: -1j,
+    GateKind.T: cmath.exp(1j * math.pi / 4),
+    GateKind.TDG: cmath.exp(-1j * math.pi / 4),
+}
 
 
 def _permutation(gate: Gate, num_qubits: int) -> np.ndarray:
@@ -189,22 +191,22 @@ def _is_commuting_reordering(original: list[Gate],
     Each candidate gate is matched to the earliest unused source gate with the
     same signature; that gate must commute with every unused source gate
     before it, i.e. be in the CF front of what is left, and is then used up.
+    The lengths are equal, so once every candidate gate has used up a source
+    gate, none is left over.
     """
     if len(original) != len(candidate):
         return False, [f"gate count differs: {len(original)} vs {len(candidate)}"]
-    buckets: dict[tuple, list[int]] = defaultdict(list)
-    for i, gate in enumerate(original):
-        buckets[gate.signature()].append(i)
+    # Per signature, the unused source gates, the earliest last.
+    unused: dict[tuple, list[int]] = defaultdict(list)
+    for i in reversed(range(len(original))):
+        unused[original[i].signature()].append(i)
     frontier = LaneFrontier(original, lambda gates, q: cf_front(gates, lane=q))
     used = [False] * len(original)
-    cursor: dict[tuple, int] = defaultdict(int)
     for k, gate in enumerate(candidate):
-        sig = gate.signature()
-        queue = buckets.get(sig, [])
-        pos = cursor[sig]
-        if pos >= len(queue):
+        stack = unused.get(gate.signature())
+        if not stack:
             return False, [f"extra or missing gate at position {k}: {gate}"]
-        idx = queue[pos]
+        idx = stack[-1]
         if idx not in frontier.front:
             # The earliest unused source gate that keeps it out of the front.
             source = original[idx]
@@ -212,12 +214,9 @@ def _is_commuting_reordering(original: list[Gate],
                           if not used[j] and not commutes(original[j], source))
             return False, [
                 f"{gate} at position {k} jumped before non-commuting {original[blocker]}"]
-        cursor[sig] = pos + 1
+        stack.pop()
         used[idx] = True
-        frontier.remove((idx,))
-    leftovers = [sig for sig, queue in buckets.items() if cursor[sig] != len(queue)]
-    if leftovers:
-        return False, [f"missing gate {sig[0].value} on {sig[1]}" for sig in leftovers]
+        frontier.remove({idx})
     return True, []
 
 

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from codar_router import Gate, GateKind
+from codar_router import Gate, GateKind, Mapping, RouterConfig, Schedule, ScheduledGate
 
 INF = 10 ** 9
 
@@ -313,3 +313,93 @@ def best_swap_reference(cf_gates, mapping, locks: list[int], t: int, arch):
         if score > best_score:
             best, best_score = edge, score
     return best
+
+
+# --- the whole route from scratch --------------------------------------------
+
+def reference_route(circuit, arch, config=None, stall_limit=None, swap_cap=None):
+    """The router's rule, cycle by cycle, with nothing kept between cycles but
+    the placement, the locks, the forced gate and the counters.
+
+    Each cycle first repeats launch rounds until one launches nothing.  A
+    round rederives the front of the remaining gates and launches, in program
+    order, each front gate whose physical qubits are free and, for a
+    two-qubit gate, coupled.  A gate that is not coupled is blocked.  Once
+    ``stall_limit`` cycles in a row launched neither a gate nor a SWAP, or
+    once the SWAP count has passed ``swap_cap``, the oldest blocked gate is
+    forced until it launches.  While a gate is forced, the cycle takes one SWAP, the best for
+    that gate alone; otherwise, it takes the best SWAP over the whole front
+    until none scores above 0.  Then the clock moves one cycle.
+    """
+    config = config or RouterConfig()
+    gates = circuit.gates
+    init = Mapping.identity(circuit.num_qubits, arch.num_qubits)
+    placement = init.copy()
+    if stall_limit is None:
+        stall_limit = max(1, arch.durations[GateKind.SWAP])
+    if swap_cap is None:
+        swap_cap = 8 * (len(gates) + 4) * (arch.diameter + 2) + 64
+    front_of = cf_front_reference if config.commutativity_on else no_predecessor_front_reference
+    locks = [0] * arch.num_qubits
+    items: list[ScheduledGate] = []
+    remaining = list(range(len(gates)))
+    t = stall_counter = stall_events = swaps = 0
+    forced, desperate = None, False
+
+    def launch(pgate, inserted=False):
+        true_duration = arch.durations[pgate.kind]
+        duration = true_duration if config.duration_aware else 1
+        for q in pgate.qubits:
+            locks[q] = t + duration
+        items.append(ScheduledGate(pgate, t, duration, true_duration, inserted))
+
+    def physical(seq):
+        return tuple(placement.fwd[q] for q in gates[seq].qubits)
+
+    def is_blocked(seq):
+        return gates[seq].kind in (GateKind.CX, GateKind.SWAP) \
+            and arch.distances[physical(seq)[0]][physical(seq)[1]] != 1
+
+    def best_swap(*seqs):
+        return best_swap_reference([gates[seq] for seq in seqs], placement, locks, t, arch)
+
+    def swap(edge):
+        nonlocal swaps
+        launch(Gate(GateKind.SWAP, edge), inserted=True)
+        placement.swap(*edge)
+        swaps += 1
+
+    while remaining:
+        launched = False
+        while True:
+            front = [remaining[k] for k in sorted(front_of([gates[i] for i in remaining]))]
+            taken = set()
+            for seq in front:
+                if not is_blocked(seq) and all(locks[p] <= t for p in physical(seq)):
+                    launch(gates[seq].with_qubits(physical(seq)))
+                    taken.add(seq)
+            if not taken:
+                break
+            launched = True
+            remaining = [i for i in remaining if i not in taken]
+        blocked = [seq for seq in front if is_blocked(seq)]
+        if forced not in front:
+            forced = None
+        if forced is None and blocked and (desperate or stall_counter >= stall_limit):
+            forced = blocked[0]
+            stall_events += 1
+        if forced is not None:
+            edge = forced in blocked and best_swap(forced)
+            if edge:
+                swap(edge)
+                launched = True
+        elif blocked:
+            while edge := best_swap(*front):
+                swap(edge)
+                launched = True
+                if swaps > swap_cap:
+                    desperate = True
+                    break
+        stall_counter = 0 if launched else stall_counter + 1
+        t += 1
+    return Schedule(items, init, placement, stall_events)

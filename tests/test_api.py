@@ -58,6 +58,7 @@ def test_settings_are_pinned():
         cr.emit_program: ["circuit", "decompose_swap"],
         cr.cf_front: ["gates", "lane"],
         cr.commutes: ["a", "b"],
+        cr.grid_architecture: ["rows", "cols"],
     }
     for fn, names in expected.items():
         assert list(inspect.signature(fn).parameters) == names, fn.__qualname__

@@ -1,6 +1,7 @@
 """Differential tests against the references in ``oracles.py``: the lane
-frontier and the checker built on it against full rescans, and the router's
-event-driven SWAP-search map against the search from scratch.
+frontier and the checker built on it against full rescans, the router's
+event-driven SWAP-search map against the search from scratch, and whole
+routes against the reference router.
 """
 from __future__ import annotations
 
@@ -35,8 +36,10 @@ from oracles import (
     is_commuting_reordering_reference,
     no_predecessor_front_reference,
     random_unitary_gate,
+    reference_route,
     swap_scores_reference,
 )
+from test_large_devices import fenced_program
 
 
 ARCHS = (preset_architecture("square4"), preset_architecture("demo6"), grid_architecture(3, 3))
@@ -87,12 +90,12 @@ def test_lane_frontier_matches_full_rescan(seed):
                 break
             # Launch-like rounds: only front gates are ever removed.
             pool = sorted(frontier.front)
-            batch = rng.sample(pool, rng.randint(1, min(3, len(pool))))
+            batch = set(rng.sample(pool, rng.randint(1, min(3, len(pool)))))
             before = set(frontier.front)
             entered = frontier.remove(batch)
             # No remaining gate leaves the front, so the entrants are the
             # whole change.
-            assert before - set(batch) <= frontier.front
+            assert before - batch <= frontier.front
             assert entered == frontier.front - before
             remaining = [i for i in remaining if i not in batch]
 
@@ -136,7 +139,7 @@ def test_lane_frontier_rescans_a_lane_only_once_its_run_empties():
     frontier = LaneFrontier(diagonal, front_of)
     assert frontier.front == set(range(len(diagonal)))
     for i in range(len(diagonal)):
-        assert frontier.remove((i,)) == set()
+        assert frontier.remove({i}) == set()
     # Once at construction and once when the last gate leaves, not once per
     # removal.
     assert calls == [0, 0]
@@ -150,12 +153,29 @@ def test_lane_frontier_refuses_to_remove_a_gate_outside_the_front():
     frontier = LaneFrontier(gates, lambda lane, q: cf_front(lane, lane=q))
     assert frontier.front == {0, 2, 3}
     with pytest.raises(ValueError, match="gate 1 is not in the front"):
-        frontier.remove((3, 1, 2))
-    # Nothing changed: the front gates named before the bad one are still
+        frontier.remove({3, 1, 2})
+    # Nothing changed: the front gates named with the bad one are still
     # there, and removing them later works as if the refused call never ran.
     assert frontier.front == {0, 2, 3}
-    assert frontier.remove((3, 2)) == set()
-    assert frontier.remove((0,)) == {1}
+    assert frontier.remove({3, 2}) == set()
+    # A gate removed once has left the front, so a second removal is refused.
+    with pytest.raises(ValueError, match="gate 3 is not in the front"):
+        frontier.remove({3})
+    assert frontier.front == {0}
+    assert frontier.remove({0}) == {1}
+    assert frontier.front == {1}
+
+
+def test_lane_frontier_takes_only_a_set():
+    # A set cannot name a gate twice; a tuple could, and would count a run
+    # down twice for one gate.
+    gates = [Gate(GateKind.T, (0,)), Gate(GateKind.Z, (0,))]
+    frontier = LaneFrontier(gates, lambda lane, q: cf_front(lane, lane=q))
+    for indices in ((0, 0), [1]):
+        with pytest.raises(TypeError):
+            frontier.remove(indices)
+    assert frontier.front == {0, 1}
+    assert frontier.remove({0}) == set()
     assert frontier.front == {1}
 
 
@@ -343,8 +363,6 @@ def test_swap_search_state_matches_search_from_scratch():
                        if gates[seq].kind is not GateKind.H
                        and arch.distances[fwd[gates[seq].qubits[0]]][fwd[gates[seq].qubits[1]]] != 1]
             assert search.blocked == set(blocked)
-            assert set(search.endpoints) == {placement.fwd[q] for seq in blocked
-                                             for q in gates[seq].qubits}
             assert min(search.blocked, default=None) == (blocked[0] if blocked else None)
 
             found = search.refresh(locks, t)
@@ -513,3 +531,31 @@ def test_forced_swap_matches_single_gate_search_from_scratch(monkeypatch, tune_r
         route(circuit, arch)
     # Forced SWAPs happen, and most of them choose among several edges.
     assert forced and sum(count > 1 for count in forced) > len(forced) // 2
+
+
+def test_route_matches_reference_router(tune_router):
+    """Whole routes equal, byte for byte, the router rederived every cycle.
+
+    Seeded fenced programs (barriers and terminal measures) of 50 to 120
+    gates, under the default and the ablated config, half of them with a
+    stall limit of 1 or 2 and a SWAP cap of 15 or 40, so that routes stall,
+    force gates and run into desperate mode.
+    """
+    ablated = RouterConfig(duration_aware=False, commutativity_on=False)
+    stalls = desperate = 0
+    for device in ("grid:4x4", "grid:5x5", "q20-tokyo"):
+        arch = resolve_architecture(device)
+        for seed in range(8):
+            rng = random.Random(seed)
+            circuit = fenced_program(arch.num_qubits, rng.randint(50, 120), rng)
+            for config in (RouterConfig(), ablated):
+                tuning = {}
+                if rng.random() < 0.5:
+                    tuning = dict(stall_limit=rng.choice((1, 2)), swap_cap=rng.choice((15, 40)))
+                routers = tune_router(**tuning)
+                schedule = route(circuit, arch, config=config).schedule
+                expected = reference_route(circuit, arch, config, **tuning)
+                assert schedule.to_json() == expected.to_json(), (device, seed, config, tuning)
+                stalls += schedule.stall_events
+                desperate += routers[-1].desperate
+    assert stalls > 0 and desperate > 0

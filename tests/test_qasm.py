@@ -182,6 +182,18 @@ def test_measure_past_the_creg_is_a_located_syntax_error(text, message, line):
     assert info.value.line == line
 
 
+@pytest.mark.parametrize("text, message", [
+    ("OPENQASM 2.0;", "no qreg declared"),
+    ("OPENQASM 2.0; qreg q[x];", "expected register size"),
+    ("OPENQASM 2.0; qreg q[0];", "register size must be positive"),
+    ("OPENQASM 2.0; qreg q[2]; creg c[2]; measure q -> c[0];",
+     "register-wide measure needs a register target"),
+], ids=["no-qreg", "size-not-a-number", "size-zero", "register-into-one-bit"])
+def test_register_errors_are_syntax_errors(text, message):
+    with pytest.raises(QasmSyntaxError, match=message):
+        parse_program(text)
+
+
 def test_statement_order_preserved():
     text = "OPENQASM 2.0; qreg q[3]; h q[0]; t q[1]; cx q[1],q[2]; x q[0];"
     kinds = [g.kind for g in parse_program(text).gates]
@@ -214,6 +226,14 @@ def test_roundtrip_structural_equality():
     again = parse_program(emit_program(c))
     assert again.structurally_equal(c)
     assert parse_program(emit_program(again)).structurally_equal(again)
+
+
+def test_emit_full_register_barrier_and_integral_parameter():
+    c = Circuit(3).rz(0, 1.0)
+    c.barrier()
+    lines = emit_program(c).splitlines()
+    assert lines[-2:] == ["rz(1) q[0];", "barrier q;"]
+    assert parse_program("\n".join(lines)).structurally_equal(c)
 
 
 def test_roundtrip_corpus(corpus_dir):
@@ -272,6 +292,15 @@ def test_validate_non_finite_param_from_the_api(value):
     assert [(d.code, d.gate_index) for d in validate(c, 4)] == [("BadParams", 0)]
     with pytest.raises(InvalidCircuitError, match="rz parameter is not a finite number"):
         route(c, preset_architecture("square4"))
+
+
+def test_validate_bad_arity_and_negative_classical_bit():
+    c = Circuit(2)
+    c.gates.append(Gate(GateKind.CX, (0,)))
+    c.gates.append(Gate(GateKind.MEASURE, (1,), cbit=-1))
+    assert [(d.code, d.message, d.gate_index) for d in validate(c, 2)] == [
+        ("BadArity", "cx takes 2 qubit(s), got 1", 0),
+        ("BadParams", "negative classical bit", 1)]
 
 
 def test_validate_duplicate_and_range():

@@ -294,7 +294,8 @@ def test_idle_cycles_skip_to_the_stall_limit_under_a_long_lock(monkeypatch, tune
     # closer; with stall limit 1 the router forces it at cycle 2, long before
     # the lock releases, then waits for the first release at cycle 6.
     tune_router(stall_limit=1)
-    arch = grid_architecture(1, 5, {**DEFAULT_DURATIONS, GateKind.CX: 20})
+    arch = dataclasses.replace(grid_architecture(1, 5),
+                               durations={**DEFAULT_DURATIONS, GateKind.CX: 20})
     circ = Circuit(5).cx(1, 2).cx(0, 3).t(0).cx(2, 4).cx(1, 4).h(3)
     cycles = []
     launch_ready = router_module._Router._launch_ready

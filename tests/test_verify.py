@@ -198,6 +198,24 @@ def test_oracle_starts_from_a_random_state():
     assert statevector_oracle(Circuit(1, [a, z]), identity_schedule(Circuit(1, [z, a])))[0]
 
 
+def test_verify_equivalence_reports_an_oracle_mismatch():
+    a, b = Gate(GateKind.X, (0,)), Gate(GateKind.T, (0,))
+    report = verify_equivalence(Circuit(1, [a, b]), identity_schedule(Circuit(1, [b, a])))
+    assert report.oracle_ok is False and not report.ok
+    assert report.max_amplitude_error > 0.1
+    assert report.details[-1].startswith("statevector mismatch, max amplitude error ")
+
+
+def test_inserted_non_swap_fails_replay_and_dependency_check():
+    init = Mapping.identity(2, 2)
+    items = [ScheduledGate(Gate(GateKind.H, (0,)), 0, 1, 1),
+             ScheduledGate(Gate(GateKind.CX, (0, 1)), 1, 2, 2, inserted=True)]
+    assert replay_schedule(items, init).violations == ["inserted non-SWAP gate cx 0,1"]
+    report = dependency_equivalence(Circuit(2).h(0), Schedule(items, init, init.copy()))
+    assert not report.dependency_ok
+    assert report.details == ["inserted non-SWAP gate cx 0,1"]
+
+
 def test_dependency_identity_routing():
     circ = Circuit(3).h(0).cx(0, 1).t(1).cx(1, 2)
     report = dependency_equivalence(circ, identity_schedule(circ))
