@@ -8,9 +8,7 @@ from .arch import (
     CouplingGraph,
     DEFAULT_DURATIONS,
     DisconnectedGraphError,
-    all_pairs_distances,
     architecture_to_config,
-    duration_of,
     grid_architecture,
     load_architecture,
     load_architecture_file,
@@ -18,7 +16,7 @@ from .arch import (
     resolve_architecture,
 )
 from .circuit import Circuit, Gate, GateKind
-from .commutation import cf_front, commutes, no_predecessor_front
+from .commutation import cf_front, commutes
 from .qasm import Diagnostic, QasmError, emit_program, parse_file, parse_program, validate
 from .router import (
     Mapping,
@@ -30,7 +28,6 @@ from .router import (
     initial_mapping,
     rescore_true_durations,
     route,
-    weighted_depth,
 )
 from .verify import (
     EquivalenceReport,
@@ -42,15 +39,14 @@ from .verify import (
 
 __all__ = [
     "Architecture", "ArchitectureError", "CouplingGraph", "DEFAULT_DURATIONS",
-    "DisconnectedGraphError", "all_pairs_distances", "architecture_to_config",
-    "duration_of", "grid_architecture", "load_architecture", "load_architecture_file",
-    "preset_architecture", "resolve_architecture",
+    "DisconnectedGraphError", "architecture_to_config", "grid_architecture",
+    "load_architecture", "load_architecture_file", "preset_architecture",
+    "resolve_architecture",
     "Circuit", "Gate", "GateKind",
-    "cf_front", "commutes", "no_predecessor_front",
+    "cf_front", "commutes",
     "Diagnostic", "QasmError", "emit_program", "parse_file", "parse_program", "validate",
     "Mapping", "RouterConfig", "RoutingResult", "Schedule", "ScheduledGate",
     "TooManyQubitsError", "initial_mapping", "rescore_true_durations", "route",
-    "weighted_depth",
     "EquivalenceReport", "OracleLimitError", "dependency_equivalence",
     "statevector_oracle", "verify_equivalence",
     "__version__",

@@ -157,13 +157,12 @@ def load_architecture(config: dict) -> Architecture:
     if not isinstance(config, dict):
         raise ArchitectureError(f"config must be a JSON object, got {type(config).__name__}")
     try:
-        num_qubits = int(config["num_qubits"])
+        num_qubits = config["num_qubits"]
         edges = config["edges"]
     except KeyError as exc:
         raise ArchitectureError(f"config missing field {exc.args[0]!r}") from None
-    except (TypeError, ValueError):
-        raise ArchitectureError(
-            f"num_qubits must be an integer, got {config['num_qubits']!r}") from None
+    if type(num_qubits) is not int:
+        raise ArchitectureError(f"num_qubits must be an integer, got {num_qubits!r}")
     if num_qubits < 1:
         raise ArchitectureError("num_qubits must be >= 1")
     if not isinstance(edges, (list, tuple)):

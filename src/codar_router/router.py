@@ -191,10 +191,6 @@ class RoutingResult:
     routed: Circuit
 
 
-def _is_coupling_gate(gate: Gate) -> bool:
-    return gate.kind in TWO_QUBIT_KINDS
-
-
 def launch(pgate: Gate, t: int, locks: list[int], schedule: list[ScheduledGate],
            arch: Architecture, duration_aware: bool = True,
            inserted: bool = False) -> ScheduledGate:
@@ -250,7 +246,7 @@ def heuristic_priority(swap: tuple[int, int], cf_gates, fwd: list[int],
     i, j = swap
     score = 0
     for gate in cf_gates:
-        if not _is_coupling_gate(gate):
+        if gate.kind not in TWO_QUBIT_KINDS:
             continue
         pa, pb = fwd[gate.qubits[0]], fwd[gate.qubits[1]]
         na = j if pa == i else i if pa == j else pa
@@ -300,7 +296,7 @@ class _SwapSearch:
         dist = self.arch.distances
         for seq in seqs:
             gate = self.gates[seq]
-            if not _is_coupling_gate(gate):
+            if gate.kind not in TWO_QUBIT_KINDS:
                 continue
             a, b = fwd[gate.qubits[0]], fwd[gate.qubits[1]]
             self.on_qubit[a][seq] = b
@@ -315,7 +311,7 @@ class _SwapSearch:
         fwd = self.placement.fwd
         for seq in seqs:
             gate = self.gates[seq]
-            if not _is_coupling_gate(gate):
+            if gate.kind not in TWO_QUBIT_KINDS:
                 continue
             a, b = fwd[gate.qubits[0]], fwd[gate.qubits[1]]
             del self.on_qubit[a][seq]
@@ -537,19 +533,31 @@ class _Router:
         return Schedule(self.items, self.init, self.placement, self.stall_events)
 
 
+def _check(circuit: Circuit, arch: Architecture) -> None:
+    """Raise when ``circuit`` cannot be routed on ``arch``, naming its own gates."""
+    diagnostics = validate(circuit, arch.num_qubits)
+    if diagnostics:
+        if len(diagnostics) == 1 and diagnostics[0].code == "TooManyQubits":
+            raise TooManyQubitsError(circuit.num_qubits, arch.num_qubits)
+        raise InvalidCircuitError(diagnostics)
+
+
 def initial_mapping(circuit: Circuit, arch: Architecture, policy: str = "identity",
                     config: RouterConfig | None = None) -> Mapping:
     """Starting placement: identity, or the final mapping of a reverse-order pass.
 
     This is the one place that decides a non-identity start; ``route`` with
-    no ``init`` starts from the identity.
+    no ``init`` starts from the identity.  The reverse pass checks ``circuit``
+    as ``route`` does, then runs the router once on its reversed copy.
     """
     if policy not in ("identity", "reverse_pass"):
         raise RouterError(f"unknown initial mapping policy {policy!r}")
+    if policy == "reverse_pass":
+        _check(circuit, arch)
     ident = Mapping.identity(circuit.num_qubits, arch.num_qubits)
-    if policy == "identity" or not circuit.gates:
+    if policy == "identity":
         return ident
-    return route(circuit.reversed(), arch, ident, config).schedule.final_mapping
+    return _Router(circuit.reversed(), arch, ident, config or RouterConfig()).run().final_mapping
 
 
 def route(circuit: Circuit, arch: Architecture, init: Mapping | None = None,
@@ -562,11 +570,7 @@ def route(circuit: Circuit, arch: Architecture, init: Mapping | None = None,
     gates and by the lexicographically smallest edge for SWAPs.
     """
     config = config or RouterConfig()
-    diagnostics = validate(circuit, arch.num_qubits)
-    if diagnostics:
-        if any(d.code == "TooManyQubits" for d in diagnostics) and len(diagnostics) == 1:
-            raise TooManyQubitsError(circuit.num_qubits, arch.num_qubits)
-        raise InvalidCircuitError(diagnostics)
+    _check(circuit, arch)
     if init is None:
         init = Mapping.identity(circuit.num_qubits, arch.num_qubits)
     if init.num_logical != circuit.num_qubits or init.num_physical != arch.num_qubits:

@@ -15,7 +15,7 @@ import cmath
 import math
 import random
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -29,11 +29,6 @@ ORACLE_TOL = 1e-9
 
 class OracleLimitError(ValueError):
     """The statevector oracle cannot run on this instance."""
-
-
-class TooLargeForOracle(OracleLimitError):
-    def __init__(self, num_qubits: int, limit: int):
-        super().__init__(f"{num_qubits} qubits exceeds the {limit}-qubit oracle limit")
 
 
 # --- gate matrices -------------------------------------------------------
@@ -232,12 +227,7 @@ class EquivalenceReport:
         return self.dependency_ok and self.oracle_ok is not False
 
     def to_dict(self) -> dict:
-        return {
-            "dependency_ok": self.dependency_ok,
-            "oracle_ok": self.oracle_ok,
-            "max_amplitude_error": self.max_amplitude_error,
-            "details": list(self.details),
-        }
+        return asdict(self)
 
 
 def dependency_equivalence(original: Circuit, schedule: Schedule) -> EquivalenceReport:
@@ -289,7 +279,7 @@ def statevector_oracle(original: Circuit, schedule: Schedule) -> tuple[bool, flo
     """
     n = original.num_qubits
     if n > ORACLE_QUBIT_LIMIT:
-        raise TooLargeForOracle(n, ORACLE_QUBIT_LIMIT)
+        raise OracleLimitError(f"{n} qubits exceeds the {ORACLE_QUBIT_LIMIT}-qubit oracle limit")
     replay = replay_schedule(schedule.items, schedule.initial_mapping)
     if replay.violations:
         return False, float("inf")

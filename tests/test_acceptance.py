@@ -14,14 +14,14 @@ from codar_router import (
     GateKind,
     Mapping,
     RouterConfig,
-    all_pairs_distances,
     cf_front,
-    no_predecessor_front,
     parse_program,
     preset_architecture,
     route,
 )
-from codar_router.arch import Architecture, CouplingGraph, DEFAULT_DURATIONS, grid_architecture
+from codar_router.arch import (Architecture, CouplingGraph, DEFAULT_DURATIONS,
+                               all_pairs_distances, grid_architecture)
+from codar_router.commutation import no_predecessor_front
 from codar_router.router import heuristic_priority
 from codar_router.cli import bench_corpus
 from codar_router.verify import dependency_equivalence, statevector_oracle

@@ -9,15 +9,14 @@ import codar_router.router as router_module
 
 EXPECTED = {
     "Architecture", "ArchitectureError", "CouplingGraph", "DEFAULT_DURATIONS",
-    "DisconnectedGraphError", "all_pairs_distances", "architecture_to_config",
-    "duration_of", "grid_architecture", "load_architecture", "load_architecture_file",
-    "preset_architecture", "resolve_architecture",
+    "DisconnectedGraphError", "architecture_to_config", "grid_architecture",
+    "load_architecture", "load_architecture_file", "preset_architecture",
+    "resolve_architecture",
     "Circuit", "Gate", "GateKind",
-    "cf_front", "commutes", "no_predecessor_front",
+    "cf_front", "commutes",
     "Diagnostic", "QasmError", "emit_program", "parse_file", "parse_program", "validate",
     "Mapping", "RouterConfig", "RoutingResult", "Schedule", "ScheduledGate",
     "TooManyQubitsError", "initial_mapping", "rescore_true_durations", "route",
-    "weighted_depth",
     "EquivalenceReport", "OracleLimitError", "dependency_equivalence",
     "statevector_oracle", "verify_equivalence",
     "__version__",

@@ -1,12 +1,12 @@
 import random
+import re
 
 import pytest
 
 from codar_router import (
+    ArchitectureError,
     GateKind,
-    all_pairs_distances,
     architecture_to_config,
-    duration_of,
     grid_architecture,
     load_architecture,
     preset_architecture,
@@ -19,6 +19,8 @@ from codar_router.arch import (
     MissingDurationError,
     NonPositiveDurationError,
     PRESET_NAMES,
+    all_pairs_distances,
+    duration_of,
 )
 
 from oracles import floyd_warshall
@@ -85,6 +87,24 @@ def test_duration_of_missing_kind():
                               "durations": {"swap": 6, "cx": 2}})
     with pytest.raises(MissingDurationError):
         duration_of(arch, GateKind.H)
+
+
+@pytest.mark.parametrize("value", [2.7, 2.0, "2", True])
+def test_num_qubits_must_be_an_int(value):
+    message = f"num_qubits must be an integer, got {value!r}"
+    with pytest.raises(ArchitectureError, match=f"^{re.escape(message)}$"):
+        load_architecture({"num_qubits": value, "edges": [[0, 1]], "durations": {"swap": 6}})
+
+
+def test_grid_rejects_an_empty_dimension():
+    with pytest.raises(ArchitectureError, match="^grid dimensions must be >= 1$"):
+        grid_architecture(0, 3)
+
+
+def test_unknown_preset_lists_the_presets():
+    message = f"unknown preset 'nope'; have {', '.join(PRESET_NAMES)}"
+    with pytest.raises(ArchitectureError, match=f"^{re.escape(message)}$"):
+        preset_architecture("nope")
 
 
 def test_grid_6x6_counts():

@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from codar_router import parse_program, weighted_depth
+from codar_router import parse_program
 from codar_router.cli import bench_corpus, comparison_csv, main
-from codar_router.router import ScheduledGate
+from codar_router.router import ScheduledGate, weighted_depth
 from codar_router.circuit import Gate, GateKind
 
 GOLDEN = "OPENQASM 2.0;\nqreg q[4];\nt q[1];\ncx q[0],q[2];\ncx q[0],q[3];\n"

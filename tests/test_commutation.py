@@ -1,18 +1,13 @@
 import random
 from itertools import product
 
-from codar_router import (
-    Gate,
-    GateKind,
-    cf_front,
-    commutes,
-    no_predecessor_front,
-)
+from codar_router import Gate, GateKind, cf_front, commutes
 from codar_router.commutation import (
     _FAMILIES,
     ROLE_CONTROL,
     ROLE_SINGLE,
     ROLE_TARGET,
+    no_predecessor_front,
 )
 
 from oracles import cf_front_bruteforce, commutes_reference, random_unitary_gate, unitary_commute

@@ -20,12 +20,11 @@ from codar_router import (
     cf_front,
     commutes,
     grid_architecture,
-    no_predecessor_front,
     preset_architecture,
     resolve_architecture,
     route,
 )
-from codar_router.commutation import LaneFrontier
+from codar_router.commutation import LaneFrontier, no_predecessor_front
 from codar_router.router import _SwapSearch, heuristic_priority
 from codar_router.verify import _is_commuting_reordering, dependency_equivalence, replay_schedule
 

@@ -9,16 +9,9 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from codar_router import (
-    Circuit,
-    Mapping,
-    RouterConfig,
-    all_pairs_distances,
-    cf_front,
-    no_predecessor_front,
-    route,
-)
-from codar_router.arch import Architecture, CouplingGraph, DEFAULT_DURATIONS
+from codar_router import Circuit, Mapping, RouterConfig, cf_front, route
+from codar_router.arch import Architecture, CouplingGraph, DEFAULT_DURATIONS, all_pairs_distances
+from codar_router.commutation import no_predecessor_front
 from codar_router.verify import verify_equivalence
 
 from oracles import cf_front_bruteforce, compliance_violations, floyd_warshall, random_unitary_gate

@@ -16,10 +16,11 @@ from codar_router import (
     initial_mapping,
     rescore_true_durations,
     route,
-    weighted_depth,
+    validate,
 )
-from codar_router.router import (LockViolationError, RouterError, ScheduledGate,
-                                 candidate_swaps, heuristic_priority, launch)
+from codar_router.router import (InvalidCircuitError, LockViolationError, RouterError,
+                                 ScheduledGate, candidate_swaps, heuristic_priority, launch,
+                                 weighted_depth)
 from codar_router.verify import replay_schedule
 
 from oracles import compliance_violations
@@ -136,6 +137,7 @@ def test_identity_initial_mapping(square4):
 
 def test_initial_mapping_empty_circuit_is_identity(square4):
     assert initial_mapping(Circuit(4), square4, "reverse_pass").forward == [0, 1, 2, 3]
+    assert initial_mapping(Circuit(3), square4, "reverse_pass") == Mapping.identity(3, 4)
 
 
 def test_initial_mapping_rejects_unknown_policy_on_empty_circuit(square4):
@@ -154,6 +156,21 @@ def test_too_many_qubits(square4):
         route(Circuit(6).cx(0, 5), square4)
     with pytest.raises(TooManyQubitsError):
         initial_mapping(Circuit(6).cx(0, 5), square4, "reverse_pass")
+
+
+@pytest.mark.parametrize("circuit", [
+    Circuit(3).h(0).cx(0, 1).add(GateKind.CX, 2),
+    Circuit(6).add(GateKind.CX, 2).cx(0, 5),
+])
+def test_reverse_pass_reports_the_callers_gates(square4, circuit):
+    # The reverse pass checks the circuit it was given, not its reversed copy,
+    # so it fails as route does and names each bad gate by the caller's index.
+    with pytest.raises(InvalidCircuitError) as routed:
+        route(circuit, square4)
+    with pytest.raises(InvalidCircuitError) as mapped:
+        initial_mapping(circuit, square4, "reverse_pass")
+    assert mapped.value.diagnostics == validate(circuit, 4)
+    assert str(mapped.value) == str(routed.value)
 
 
 @pytest.mark.parametrize("forward, num_physical, message", [

@@ -6,7 +6,6 @@ from codar_router.router import Schedule, ScheduledGate
 from codar_router.verify import (
     ORACLE_QUBIT_LIMIT,
     OracleLimitError,
-    TooLargeForOracle,
     dependency_equivalence,
     replay_schedule,
     simulate_gates,
@@ -165,7 +164,7 @@ def test_oracle_global_phase_insensitive():
 
 def test_oracle_size_limit():
     big = Circuit(11)
-    with pytest.raises(TooLargeForOracle):
+    with pytest.raises(OracleLimitError, match="^11 qubits exceeds the 10-qubit oracle limit$"):
         statevector_oracle(big, identity_schedule(big))
 
 
