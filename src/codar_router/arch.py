@@ -84,13 +84,18 @@ class CouplingGraph:
 def all_pairs_distances(graph: CouplingGraph) -> list[list[int]]:
     """BFS hop distances between every physical qubit pair.
 
-    Raises :class:`DisconnectedGraphError` when any pair is unreachable.
+    Raises :class:`DisconnectedGraphError` when any pair is unreachable.  The
+    graph is undirected, so it is connected exactly when qubit 0 reaches every
+    qubit; that is decided, by the edge count and then by the first BFS,
+    before any other row is built.
     """
     n = graph.num_qubits
+    if len(graph.edges) < n - 1:
+        raise DisconnectedGraphError("qubit 0 cannot reach the whole device")
     adj = graph.adjacency()
-    dist = [[-1] * n for _ in range(n)]
+    dist = []
     for src in range(n):
-        row = dist[src]
+        row = [-1] * n
         row[src] = 0
         queue = deque([src])
         while queue:
@@ -99,8 +104,9 @@ def all_pairs_distances(graph: CouplingGraph) -> list[list[int]]:
                 if row[v] < 0:
                     row[v] = row[u] + 1
                     queue.append(v)
-        if any(d < 0 for d in row):
-            raise DisconnectedGraphError(f"qubit {src} cannot reach the whole device")
+        if not dist and -1 in row:
+            raise DisconnectedGraphError("qubit 0 cannot reach the whole device")
+        dist.append(row)
     return dist
 
 

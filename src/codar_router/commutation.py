@@ -3,6 +3,9 @@
 A gate is commutative-forward within a pending sequence when it commutes with
 every gate before it, which makes it instantly issuable from the software
 point of view even though it is not at the head of the program.
+:func:`cf_front` finds the CF gates of a list in one pass;
+:class:`LaneFrontier` keeps them for a list that loses its front gates, from
+per-qubit runs of commuting gates found once up front.
 
 Commutation on a shared qubit is decided by one key per operand.  The key is
 the family of the operand's (gate kind, operand role) entry when it has one:
@@ -114,17 +117,6 @@ def cf_front(gates, *, lane: int | None = None) -> set[int]:
     return front
 
 
-def no_predecessor_front(gates) -> set[int]:
-    """Indices of gates sharing no qubit with any earlier gate (ablated front)."""
-    front: set[int] = set()
-    touched: set[int] = set()
-    for k, gate in enumerate(gates):
-        if not (set(gate.qubits) & touched):
-            front.add(k)
-        touched.update(gate.qubits)
-    return front
-
-
 class LaneFrontier:
     """CF front of a gate list that loses front gates, kept over per-qubit lanes.
 
@@ -133,36 +125,47 @@ class LaneFrontier:
     each qubit it touches, it does so within that qubit's lane, so a gate is
     in the front when every one of its lanes' fronts holds it.
 
-    ``front_of(gates, qubit)`` maps the gates of a qubit's lane to the lane
-    positions in its front, e.g. ``cf_front(gates, lane=qubit)``.  For the
-    gates :func:`~codar_router.qasm.validate` accepts, such a front is a
-    *run*: the lane's first positions, here the gates whose key on the lane's
-    qubit equals the head's.  So the frontier keeps two counts per lane, the
-    length of its run and how many of the run's gates remain, and one per
-    gate, the number of its lanes whose runs do not hold it yet; a gate is in
-    the front when that count is 0.
+    For the gates :func:`~codar_router.qasm.validate` accepts, a lane's front,
+    ``cf_front(lane, lane=qubit)``, is a *run*: the gates from the lane's head
+    whose key on the lane's qubit equals the head's, or the head alone when
+    its key is ``None``.  A lane only ever loses its whole head run, so the
+    constructor splits every lane into its runs once, in one pass over the
+    gates' keys.  With ``commutative=False`` every gate is a run of its own:
+    the front is then the gates with no predecessor on any of their qubits.
 
-    Only front gates can be removed, and a front gate lies inside the run of
-    each of its lanes, so a removal only counts down the runs it sits in.  A
-    lane changes only once its run is spent: it then drops the run whole and
-    goes back through ``front_of``.
+    The frontier keeps, per lane, the number of its current run and how many
+    of that run's gates remain, and, per gate, the number of its lanes whose
+    current runs do not hold it yet; a gate is in the front when that count
+    is 0.  Only front gates can be removed, and a front gate lies inside the
+    current run of each of its lanes, so a removal only counts down runs.
+    Once a lane's run is spent, the lane moves on to its next run.
     """
 
-    def __init__(self, gates, front_of):
+    def __init__(self, gates, commutative: bool = True):
         self._gates = gates
-        self._front_of = front_of
-        self._lanes: dict[int, list[int]] = {}
-        self._lane_gates: dict[int, list[Gate]] = {}
+        #: Per qubit, the lane's runs in order, each a list of gate indices.
+        self._runs: dict[int, list[list[int]]] = {}
+        self._outside = outside = [0] * len(gates)
+        # Per qubit, the lane's last run so far and the key its gates share.
+        tail: dict[int, list[int]] = {}
+        shared: dict[int, object] = {}
         for i, gate in enumerate(gates):
-            for q in dict.fromkeys(gate.qubits):
-                self._lanes.setdefault(q, []).append(i)
-                self._lane_gates.setdefault(q, []).append(gate)
-        self._run = dict.fromkeys(self._lanes, 0)
-        self._left = dict.fromkeys(self._lanes, 0)
-        self._outside = [len(set(gate.qubits)) for gate in gates]
+            for q, key in getattr(gate, "_keys", None) or _keys(gate):
+                run = tail.get(q)
+                if run and run[-1] == i:
+                    continue  # the gate repeats the operand
+                if run and commutative and key is not None and key == shared[q]:
+                    run.append(i)
+                else:
+                    run = tail[q] = [i]
+                    self._runs.setdefault(q, []).append(run)
+                    shared[q] = key
+                outside[i] += 1
+        self._next = dict.fromkeys(self._runs, 0)
+        self._left = dict.fromkeys(self._runs, 0)
         #: Indices, into the gate list, of the remaining gates in the front.
-        self.front: set[int] = {i for i, gate in enumerate(gates) if not gate.qubits}
-        self.front |= self._extend(self._lanes)
+        self.front: set[int] = {i for i, count in enumerate(outside) if not count}
+        self.front |= self._extend(self._runs)
 
     def remove(self, indices: set[int]) -> set[int]:
         """Drop a set of front gates from the list and bring the front up to date.
@@ -190,16 +193,17 @@ class LaneFrontier:
         return entered
 
     def _extend(self, qubits) -> set[int]:
-        """Drop the spent runs of lanes and rescan them; returns the gates now in the front."""
+        """Move lanes on to their next runs; returns the gates now in the front."""
         entered = set()
-        outside = self._outside
+        outside, runs, nxt, left = self._outside, self._runs, self._next, self._left
         for q in qubits:
-            lane, lane_gates = self._lanes[q], self._lane_gates[q]
-            run = self._run[q]
-            del lane[:run]
-            del lane_gates[:run]
-            run = self._run[q] = self._left[q] = len(self._front_of(lane_gates, q))
-            for i in lane[:run]:
+            k = nxt[q]
+            if k == len(runs[q]):
+                continue
+            nxt[q] = k + 1
+            run = runs[q][k]
+            left[q] = len(run)
+            for i in run:
                 outside[i] -= 1
                 if not outside[i]:
                     entered.add(i)

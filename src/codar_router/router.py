@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .arch import Architecture, duration_of
 from .circuit import Circuit, Gate, GateKind, TWO_QUBIT_KINDS
-from .commutation import LaneFrontier, cf_front, no_predecessor_front
+from .commutation import LaneFrontier
 from .qasm import Diagnostic, validate
 
 
@@ -394,7 +394,7 @@ class _Router:
         self.releases: dict[int, list[int]] = {}
         self.items: list[ScheduledGate] = []
         self.gates = circuit.gates
-        self.frontier = LaneFrontier(self.gates, self._lane_front)
+        self.frontier = LaneFrontier(self.gates, config.commutativity_on)
         self.search = _SwapSearch(self.gates, self.placement, arch)
         self.search.add(self.frontier.front)
         self.t = 0
@@ -409,15 +409,6 @@ class _Router:
         # Blocked cycles with no launch or SWAP before the oldest blocked gate
         # is forced: as many as one SWAP takes.
         self.stall_limit = max(1, duration_of(arch, GateKind.SWAP))
-
-    # frontier ------------------------------------------------------------
-    def _lane_front(self, gates: list[Gate], qubit: int) -> set[int]:
-        # The frontier functions are looked up by name at each call, so a
-        # wrapper installed on this module sees every lane rescan.  Every gate
-        # of a lane shares its qubit, so only the head can lack a predecessor.
-        if self.config.commutativity_on:
-            return cf_front(gates, lane=qubit)
-        return no_predecessor_front(gates[:1])
 
     # launch phase --------------------------------------------------------
     def _launch_ready(self) -> bool:

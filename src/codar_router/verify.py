@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .circuit import Circuit, Gate, GateKind
-from .commutation import LaneFrontier, cf_front, commutes
+from .commutation import LaneFrontier, commutes
 from .router import Mapping, Schedule, ScheduledGate
 
 ORACLE_QUBIT_LIMIT = 10
@@ -195,7 +195,7 @@ def _is_commuting_reordering(original: list[Gate],
     unused: dict[tuple, list[int]] = defaultdict(list)
     for i in reversed(range(len(original))):
         unused[original[i].signature()].append(i)
-    frontier = LaneFrontier(original, lambda gates, q: cf_front(gates, lane=q))
+    frontier = LaneFrontier(original)
     used = [False] * len(original)
     for k, gate in enumerate(candidate):
         stack = unused.get(gate.signature())

@@ -21,12 +21,17 @@ from codar_router import (
 )
 from codar_router.arch import (Architecture, CouplingGraph, DEFAULT_DURATIONS,
                                all_pairs_distances, grid_architecture)
-from codar_router.commutation import no_predecessor_front
 from codar_router.router import heuristic_priority
 from codar_router.cli import bench_corpus
 from codar_router.verify import dependency_equivalence, statevector_oracle
 
-from oracles import cf_front_bruteforce, compliance_violations, floyd_warshall, random_unitary_gate
+from oracles import (
+    cf_front_bruteforce,
+    compliance_violations,
+    floyd_warshall,
+    no_predecessor_front_reference,
+    random_unitary_gate,
+)
 from test_properties import connected_graph, make_arch, random_circuit
 
 
@@ -85,7 +90,7 @@ def test_criterion_3_context_sensitive_swap(square4, context_fixture):
 def test_criterion_4_cf_detection():
     gates = [Gate(GateKind.CX, (1, 3)), Gate(GateKind.CX, (2, 3))]
     assert cf_front(gates) == {0, 1}
-    assert no_predecessor_front(gates) == {0}
+    assert no_predecessor_front_reference(gates) == {0}
     report(4, "CF front exposes both shared-target CXs; ablation only the first")
 
 

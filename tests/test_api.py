@@ -37,8 +37,8 @@ def test_router_helpers_stay_module_level_functions():
     for name in ("launch", "heuristic_priority", "candidate_swaps"):
         assert name not in codar_router.__all__
         assert not hasattr(codar_router, name)
-    for name in ("route", "initial_mapping", "cf_front", "no_predecessor_front",
-                 "candidate_swaps", "heuristic_priority", "launch"):
+    for name in ("route", "initial_mapping", "candidate_swaps", "heuristic_priority",
+                 "launch"):
         assert inspect.isfunction(getattr(router_module, name)), name
 
 

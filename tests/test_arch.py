@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -58,6 +59,30 @@ def test_disconnected_rejected():
     with pytest.raises(DisconnectedGraphError):
         load_architecture({"num_qubits": 4, "edges": [[0, 1], [2, 3]],
                            "durations": {"swap": 6}})
+
+
+def test_too_few_edges_fail_before_the_adjacency_lists():
+    g = CouplingGraph.from_edges(5, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(DisconnectedGraphError, match="qubit 0 cannot reach the whole device"):
+        all_pairs_distances(g)
+    assert getattr(g, "_adj", None) is None
+
+
+def test_disconnected_device_fails_before_the_distance_matrix():
+    # A path over qubits 0-2998 and one chord: n - 1 edges, so only the BFS
+    # from qubit 0 finds qubit 2999 alone.  The whole matrix would hold 9M
+    # slots, 72 MB of pointers.
+    n = 3000
+    edges = [[q, q + 1] for q in range(n - 2)] + [[0, n - 2]]
+    config = {"num_qubits": n, "edges": edges, "durations": {"swap": 6}}
+    tracemalloc.start()
+    try:
+        with pytest.raises(DisconnectedGraphError, match="qubit 0 cannot reach the whole device"):
+            load_architecture(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 def test_bad_edge_self_loop():

@@ -1,15 +1,17 @@
 """Differential tests against the references in ``oracles.py``: the lane
-frontier and the checker built on it against full rescans, the router's
+frontier's runs and the checker built on it against full rescans, the router's
 event-driven SWAP-search map against the search from scratch, and whole
 routes against the reference router.
 """
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import codar_router.commutation as commutation_module
 import codar_router.router as router_module
 from codar_router import (
     Circuit,
@@ -24,7 +26,7 @@ from codar_router import (
     resolve_architecture,
     route,
 )
-from codar_router.commutation import LaneFrontier, no_predecessor_front
+from codar_router.commutation import LaneFrontier
 from codar_router.router import _SwapSearch, heuristic_priority
 from codar_router.verify import _is_commuting_reordering, dependency_equivalence, replay_schedule
 
@@ -65,12 +67,6 @@ def random_gates(rng: random.Random, num_qubits: int, count: int) -> list[Gate]:
     return gates
 
 
-def lane_front_of(commutativity_on: bool):
-    if commutativity_on:
-        return lambda gates, q: cf_front(gates, lane=q)
-    return lambda gates, q: no_predecessor_front(gates)
-
-
 @given(st.integers(0, 10_000))
 @settings(max_examples=60, deadline=None)
 def test_lane_frontier_matches_full_rescan(seed):
@@ -78,7 +74,7 @@ def test_lane_frontier_matches_full_rescan(seed):
     n = rng.randint(1, 5)
     gates = random_gates(rng, n, rng.randint(0, 40))
     for commutativity_on in (True, False):
-        frontier = LaneFrontier(gates, lane_front_of(commutativity_on))
+        frontier = LaneFrontier(gates, commutativity_on)
         remaining = list(range(len(gates)))
         while True:
             rest = [gates[i] for i in remaining]
@@ -109,7 +105,6 @@ def test_cf_front_early_exit_matches_full_scan(seed):
     lane = [g for g in gates if q in g.qubits]
     assert cf_front(gates) == cf_front_reference(gates)
     assert cf_front(lane, lane=q) == cf_front_reference(lane)
-    assert no_predecessor_front(gates) == no_predecessor_front_reference(gates)
 
 
 @given(st.integers(0, 10_000))
@@ -126,22 +121,52 @@ def test_lane_front_is_a_run_from_the_head(seed):
         assert front == set(range(len(front)))
 
 
-def test_lane_frontier_rescans_a_lane_only_once_its_run_empties():
-    calls = []
+@given(st.integers(0, 10_000))
+@settings(max_examples=150, deadline=None)
+def test_lane_runs_match_fronts_of_the_lane_suffixes(seed):
+    # A lane only ever loses its head run, so its fronts are the fronts of the
+    # suffixes that start where a run ends.
+    rng = random.Random(seed)
+    n = rng.randint(1, 4)
+    gates = random_gates(rng, n, rng.randint(0, 30))
+    for commutativity_on in (True, False):
+        runs = LaneFrontier(gates, commutativity_on)._runs
+        for q in range(n):
+            lane = [i for i, g in enumerate(gates) if q in g.qubits]
+            assert [i for run in runs.get(q, []) for i in run] == lane
+            ends = list(accumulate(len(run) for run in runs.get(q, [])))
+            if not commutativity_on:
+                assert ends == list(range(1, len(lane) + 1))
+            expected, start = [], 0
+            while start < len(lane):
+                front = cf_front_reference([gates[i] for i in lane[start:]])
+                assert front == set(range(len(front)))
+                start += len(front)
+                expected.append(start)
+            if commutativity_on:
+                assert ends == expected
 
-    def front_of(gates, q):
-        calls.append(q)
-        return cf_front(gates, lane=q)
 
-    diagonal = [Gate(GateKind.T, (0,)), Gate(GateKind.Z, (0,)), Gate(GateKind.S, (0,)),
-                Gate(GateKind.U1, (0,), (0.3,)), Gate(GateKind.RZ, (0,), (0.9,))]
-    frontier = LaneFrontier(diagonal, front_of)
-    assert frontier.front == set(range(len(diagonal)))
-    for i in range(len(diagonal)):
-        assert frontier.remove({i}) == set()
-    # Once at construction and once when the last gate leaves, not once per
-    # removal.
-    assert calls == [0, 0]
+def test_lane_frontier_and_routes_never_call_cf_front(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("cf_front called")
+
+    monkeypatch.setattr(commutation_module, "cf_front", refuse)
+    rng = random.Random(7)
+    gates = random_gates(rng, 5, 80)
+    for commutativity_on in (True, False):
+        frontier = LaneFrontier(gates, commutativity_on)
+        drained = 0
+        while frontier.front:
+            drained += len(frontier.front)
+            frontier.remove(set(frontier.front))
+        assert drained == len(gates)
+    ablated = RouterConfig(duration_aware=False, commutativity_on=False)
+    for arch in ARCHS:
+        circuit = Circuit(arch.num_qubits, random_gates(rng, arch.num_qubits, 80))
+        for config in (RouterConfig(), ablated):
+            schedule = route(circuit, arch, config=config).schedule
+            assert dependency_equivalence(circuit, schedule).dependency_ok
 
 
 def test_lane_frontier_refuses_to_remove_a_gate_outside_the_front():
@@ -149,7 +174,7 @@ def test_lane_frontier_refuses_to_remove_a_gate_outside_the_front():
     # the front with H(0) and X(2).
     gates = [Gate(GateKind.H, (0,)), Gate(GateKind.CX, (0, 1)), Gate(GateKind.X, (1,)),
              Gate(GateKind.X, (2,))]
-    frontier = LaneFrontier(gates, lambda lane, q: cf_front(lane, lane=q))
+    frontier = LaneFrontier(gates)
     assert frontier.front == {0, 2, 3}
     with pytest.raises(ValueError, match="gate 1 is not in the front"):
         frontier.remove({3, 1, 2})
@@ -169,41 +194,13 @@ def test_lane_frontier_takes_only_a_set():
     # A set cannot name a gate twice; a tuple could, and would count a run
     # down twice for one gate.
     gates = [Gate(GateKind.T, (0,)), Gate(GateKind.Z, (0,))]
-    frontier = LaneFrontier(gates, lambda lane, q: cf_front(lane, lane=q))
+    frontier = LaneFrontier(gates)
     for indices in ((0, 0), [1]):
         with pytest.raises(TypeError):
             frontier.remove(indices)
     assert frontier.front == {0, 1}
     assert frontier.remove({0}) == set()
     assert frontier.front == {1}
-
-
-def test_ablated_lane_rescan_reads_only_the_lane_head(monkeypatch):
-    # Every gate of a lane touches its qubit, so only the head can lack a
-    # predecessor: the router passes the head alone, and routes as it would
-    # with the whole lane.
-    rng = random.Random(7)
-    config = RouterConfig(duration_aware=False, commutativity_on=False)
-    cases = [(Circuit(arch.num_qubits, random_gates(rng, arch.num_qubits, 80)), arch)
-             for arch in ARCHS + (preset_architecture("q20-tokyo"),)]
-    passed, full = [], []
-
-    def counting(gates):
-        passed.append(len(gates))
-        return no_predecessor_front(gates)
-
-    with monkeypatch.context() as m:
-        m.setattr(router_module, "no_predecessor_front", counting)
-        schedules = [route(c, arch, config=config).schedule.items for c, arch in cases]
-    assert passed and max(passed) == 1
-
-    def whole_lane(self, gates, qubit):
-        full.append(len(gates))
-        return no_predecessor_front_reference(gates)
-
-    monkeypatch.setattr(router_module._Router, "_lane_front", whole_lane)
-    assert [route(c, arch, config=config).schedule.items for c, arch in cases] == schedules
-    assert max(full) > 1
 
 
 def test_cf_front_reads_a_lane_only_up_to_where_it_closes():

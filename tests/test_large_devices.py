@@ -8,12 +8,13 @@ so it goes through forced single-gate routing as well.  The 200-gate routes
 stall after every blocked cycle (stall limit 1) and, like the
 desperate-mode route, run out of a lowered SWAP budget and finish in
 desperate mode.  A program with barriers (zero-length locks) and terminal
-measures is routed with the default and with the ablated config (unit
-durations).
+measures, and a QFT, whose lanes hold long runs of commuting diagonal gates,
+are routed with the default and with the ablated config (unit durations).
 """
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 
 import pytest
@@ -98,6 +99,33 @@ def fenced_program(num_qubits: int, num_gates: int, rng: random.Random) -> Circu
 def test_barriers_and_measures_golden_route(config, digest):
     arch = resolve_architecture("grid:10x10")
     circuit = fenced_program(arch.num_qubits, 400, random.Random(4))
+    schedule = route(circuit, arch, config=config).schedule
+    check_golden(arch, circuit, schedule, 0, digest)
+
+
+def qft_circuit(num_qubits: int) -> Circuit:
+    """QFT with each controlled phase as u1/cx/u1/cx/u1 and exact angles."""
+    circuit = Circuit(num_qubits)
+    for i in range(num_qubits):
+        circuit.h(i)
+        for j in range(i + 1, num_qubits):
+            lam = math.pi / 2 ** (j - i)
+            circuit.add(GateKind.U1, j, params=(lam / 2,))
+            circuit.cx(j, i)
+            circuit.add(GateKind.U1, i, params=(-lam / 2,))
+            circuit.cx(j, i)
+            circuit.add(GateKind.U1, i, params=(lam / 2,))
+    return circuit
+
+
+@pytest.mark.parametrize("config, digest", [
+    (RouterConfig(), "d8e99dfc543c322def284f48ac762c3115904c0195850d719966414dcd6ec254"),
+    (RouterConfig(duration_aware=False, commutativity_on=False),
+     "c58eaf69b3ed7dcc85179a243a08def5885500a69cf0e43dc5c60dd64559c34b"),
+], ids=["default", "ablated"])
+def test_qft_golden_route(config, digest):
+    arch = resolve_architecture("q54-sycamore")
+    circuit = qft_circuit(16)
     schedule = route(circuit, arch, config=config).schedule
     check_golden(arch, circuit, schedule, 0, digest)
 
