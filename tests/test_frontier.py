@@ -169,6 +169,54 @@ def test_lane_frontier_and_routes_never_call_cf_front(monkeypatch):
             assert dependency_equivalence(circuit, schedule).dependency_ok
 
 
+def test_lane_frontier_rescans_a_lane_only_once_its_run_empties(monkeypatch):
+    moved = []
+    extend = LaneFrontier._extend
+
+    def counting(self, qubits):
+        qubits = list(qubits)
+        moved.extend(qubits)
+        return extend(self, qubits)
+
+    monkeypatch.setattr(LaneFrontier, "_extend", counting)
+    diagonal = [Gate(GateKind.T, (0,)), Gate(GateKind.Z, (0,)), Gate(GateKind.S, (0,)),
+                Gate(GateKind.U1, (0,), (0.3,)), Gate(GateKind.RZ, (0,), (0.9,))]
+    frontier = LaneFrontier(diagonal + [Gate(GateKind.H, (0,))])
+    assert frontier.front == set(range(len(diagonal)))
+    for i in range(len(diagonal) - 1):
+        assert frontier.remove({i}) == set()
+    assert moved == [0]
+    assert frontier.remove({len(diagonal) - 1}) == {len(diagonal)}
+    # The lane moves on once at construction and once when its run empties,
+    # not once per removal.
+    assert moved == [0, 0]
+
+
+def test_ablated_lane_rescan_reads_only_the_lane_head(monkeypatch):
+    # Every gate of a lane touches its qubit, so only the head can lack a
+    # predecessor: the ablated router's frontier makes each gate a run of its
+    # own, and routes as the reference router, which rescans whole lists.
+    rng = random.Random(7)
+    config = RouterConfig(duration_aware=False, commutativity_on=False)
+    cases = [(Circuit(arch.num_qubits, random_gates(rng, arch.num_qubits, 80)), arch)
+             for arch in ARCHS + (preset_architecture("q20-tokyo"),)]
+    built = []
+
+    class Recording(LaneFrontier):
+        def __init__(self, gates, commutative=True):
+            super().__init__(gates, commutative)
+            built.append(self)
+
+    monkeypatch.setattr(router_module, "LaneFrontier", Recording)
+    for circuit, arch in cases:
+        schedule = route(circuit, arch, config=config).schedule
+        assert schedule.to_json() == reference_route(circuit, arch, config).to_json()
+    assert built
+    for frontier in built:
+        assert {len(run) for runs in frontier._runs.values() for run in runs} == {1}
+        assert not frontier.front
+
+
 def test_lane_frontier_refuses_to_remove_a_gate_outside_the_front():
     # CX(0,1) waits behind H(0); X(1) commutes with its target, so it is in
     # the front with H(0) and X(2).
