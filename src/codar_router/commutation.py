@@ -86,7 +86,7 @@ def commutes(a: Gate, b: Gate) -> bool:
     return True
 
 
-def cf_front(gates, *, lane: int | None = None) -> set[int]:
+def cf_front(gates) -> set[int]:
     """Indices of gates commuting with everything before them in the list.
 
     One linear pass over the gates' cached keys.  Each qubit keeps the key
@@ -94,10 +94,6 @@ def cf_front(gates, *, lane: int | None = None) -> set[int]:
     ``None``.  A gate passes a qubit when the qubit has no marks yet, or when
     its key there is not ``None`` and equals the kept key; it is CF when it
     passes all its qubits.
-
-    ``lane`` names a qubit that every gate of the list touches, as in the
-    lanes of a :class:`LaneFrontier`.  The pass then stops as soon as that
-    qubit's kept key is ``None``, since no later gate can pass it.
     """
     front: set[int] = set()
     kept: dict[int, object] = {}
@@ -112,8 +108,6 @@ def cf_front(gates, *, lane: int | None = None) -> set[int]:
                 passes = False
         if passes:
             front.add(k)
-        if kept.get(lane, _UNMARKED) is None:
-            return front
     return front
 
 
@@ -126,7 +120,7 @@ class LaneFrontier:
     in the front when every one of its lanes' fronts holds it.
 
     For the gates :func:`~codar_router.qasm.validate` accepts, a lane's front,
-    ``cf_front(lane, lane=qubit)``, is a *run*: the gates from the lane's head
+    ``cf_front(lane)``, is a *run*: the gates from the lane's head
     whose key on the lane's qubit equals the head's, or the head alone when
     its key is ``None``.  A lane only ever loses its whole head run, so the
     constructor splits every lane into its runs once, in one pass over the

@@ -533,6 +533,15 @@ def validate(circuit: Circuit, arch_qubits: int) -> list[Diagnostic]:
         if not all(map(math.isfinite, gate.params)):
             out.append(Diagnostic(
                 "BadParams", f"{gate.kind.value} parameter is not a finite number", i))
-        if gate.kind is GateKind.MEASURE and gate.cbit is not None and gate.cbit < 0:
-            out.append(Diagnostic("BadParams", "negative classical bit", i))
+        if gate.kind is GateKind.MEASURE:
+            if gate.cbit is not None and gate.cbit < 0:
+                out.append(Diagnostic("BadParams", "negative classical bit", i))
+            elif circuit.num_clbits and gate.qubits:
+                # The bit emit_program writes: the qubit's own index when unset.
+                cbit = gate.qubits[0] if gate.cbit is None else gate.cbit
+                if cbit >= circuit.num_clbits:
+                    out.append(Diagnostic(
+                        "BadParams",
+                        f"classical bit {cbit} outside {circuit.creg_name}[{circuit.num_clbits}]",
+                        i))
     return out

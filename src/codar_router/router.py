@@ -212,49 +212,6 @@ def launch(pgate: Gate, t: int, locks: list[int], schedule: list[ScheduledGate],
     return item
 
 
-def candidate_swaps(endpoints, locks: list[int], t: int,
-                    arch: Architecture) -> list[tuple[int, int]]:
-    """Lock-free SWAP candidates around the blocked gates' physical qubits.
-
-    ``endpoints`` are the physical qubits holding an operand of a front
-    two-qubit gate that is not coupling-compliant.  A coupling edge qualifies
-    when it touches one of them and both of its qubits are free at ``t``, so
-    only edges incident to the blocked gates are searched, never the whole
-    device.  Each edge is listed once, as ``(low, high)``, in sorted order.
-    """
-    adjacency = arch.graph.adjacency()
-    found: set[tuple[int, int]] = set()
-    for p in endpoints:
-        if locks[p] > t:
-            continue
-        for m in adjacency[p]:
-            if locks[m] <= t:
-                found.add((p, m) if p < m else (m, p))
-    return sorted(found)
-
-
-def heuristic_priority(swap: tuple[int, int], cf_gates, fwd: list[int],
-                       distances: list[list[int]]) -> int:
-    """Total-distance gain of a SWAP over the pending CF two-qubit gates.
-
-    ``fwd`` is the logical-to-physical list of the current placement.
-    Positive means the swap moves interacting qubits closer on aggregate.
-    Already-adjacent pairs sit at distance 1 and can only be penalized, which
-    stops the search from tearing apart a gate that is merely waiting for its
-    qubits to unlock.
-    """
-    i, j = swap
-    score = 0
-    for gate in cf_gates:
-        if gate.kind not in TWO_QUBIT_KINDS:
-            continue
-        pa, pb = fwd[gate.qubits[0]], fwd[gate.qubits[1]]
-        na = j if pa == i else i if pa == j else pa
-        nb = j if pb == i else i if pb == j else pb
-        score += distances[pa][pb] - distances[na][nb]
-    return score
-
-
 class _SwapSearch:
     """SWAP-search state kept for a whole route and updated only where it changed.
 
@@ -262,8 +219,8 @@ class _SwapSearch:
     operand, with the physical qubit of the other operand, the source
     indices of the blocked (non-compliant) ones among them, and
     :attr:`found`, the map from each strictly positive scoring SWAP candidate
-    to its score, as :func:`candidate_swaps` and :func:`heuristic_priority`
-    would give them over the whole front.
+    to its score, as ``candidate_swaps_reference`` and ``heuristic_priority``
+    in ``tests/oracles.py`` give them over the whole front.
 
     A coupling edge's candidacy depends only on the locks of its two qubits
     and the gates on them, and its score only on those gates and the
@@ -328,7 +285,7 @@ class _SwapSearch:
         self.add(moved)
 
     def score(self, i: int, j: int) -> int:
-        """:func:`heuristic_priority` of SWAP ``(i, j)`` over the gates on ``i`` and ``j``.
+        """``heuristic_priority`` of SWAP ``(i, j)`` over the gates on ``i`` and ``j``.
 
         A gate with an operand on ``i`` and the other on ``o`` gains
         ``D[i][o] - D[j][o]``; one on both qubits keeps its distance.
@@ -348,8 +305,9 @@ class _SwapSearch:
         """Bring :attr:`found` up to date for cycle ``t`` and return it.
 
         An edge qualifies while both its qubits are free at ``t`` and one of
-        them holds an operand of a blocked gate, as in :func:`candidate_swaps`,
-        and it stays in the map while its score is positive.
+        them holds an operand of a blocked gate, as in
+        ``candidate_swaps_reference``, and it stays in the map while its
+        score is positive.
         """
         found, edges_at, on_qubit, dirty = self.found, self.edges_at, self.on_qubit, self.dirty
         blocked, score = self.blocked, self.score
@@ -369,6 +327,27 @@ class _SwapSearch:
                         continue
                 found.pop(edge, None)
         dirty.clear()
+        return found
+
+    def forced(self, seq: int, locks: list[int], t: int) -> dict[tuple[int, int], int]:
+        """Candidate map of the search over the blocked gate ``seq`` alone, at cycle ``t``.
+
+        A free operand ``p`` of the gate, with ``o`` the other one, offers
+        each edge to a free neighbour ``m``, which gains ``D[p][o] - D[m][o]``.
+        The operands of a blocked gate are not adjacent, so ``m`` is never
+        ``o``.  Only strictly positive gains are kept.
+        """
+        fwd, dist = self.placement.fwd, self.arch.distances
+        a, b = (fwd[q] for q in self.gates[seq].qubits)
+        found = {}
+        for p, o in ((a, b), (b, a)):
+            if locks[p] > t:
+                continue
+            for edge in self.edges_at[p]:
+                m = edge[0] if edge[1] == p else edge[1]
+                gain = dist[p][o] - dist[m][o]
+                if gain > 0 and locks[m] <= t:
+                    found[edge] = gain
         return found
 
     @staticmethod
@@ -459,18 +438,10 @@ class _Router:
         self.search.swap(*edge)
 
     def _forced_swap(self) -> bool:
-        """The SWAP search restricted to the forced gate, as ``_SwapSearch.best`` picks."""
+        """Launch the best SWAP of the search over the forced gate alone, if one gains."""
         if self.forced_seq not in self.search.blocked:
             return False
-        gate = self.gates[self.forced_seq]
-        fwd = self.placement.fwd
-        best = None
-        best_score = 0
-        for edge in candidate_swaps([fwd[q] for q in gate.qubits], self.locks, self.t,
-                                    self.arch):
-            score = heuristic_priority(edge, (gate,), fwd, self.arch.distances)
-            if score > best_score:
-                best, best_score = edge, score
+        best = self.search.best(self.search.forced(self.forced_seq, self.locks, self.t))
         if best is None:
             return False
         self._launch_swap(best)

@@ -156,24 +156,30 @@ def replay_schedule(items: list[ScheduledGate], init: Mapping) -> ReplayResult:
 
     Routing SWAPs become mapping updates; every other gate has its physical
     operands translated back to the program qubits occupying them at that
-    point.  SWAPs present in the source program are kept as real gates.
+    point.  SWAPs present in the source program are kept as real gates.  A
+    gate with an operand outside ``range(init.num_physical)`` is a violation.
     """
     mapping = init.copy()
-    n = init.num_logical
+    inv = mapping.inv  # swapped in place
+    device, program = set(range(init.num_physical)), set(range(init.num_logical))
     logical: list[Gate] = []
     violations: list[str] = []
     for item in items:
+        gate = item.gate
+        if not device.issuperset(gate.qubits):
+            violations.append(f"{gate} acts on a qubit outside the device")
+            continue
         if item.inserted:
-            if item.gate.kind is not GateKind.SWAP:
-                violations.append(f"inserted non-SWAP gate {item.gate}")
+            if gate.kind is not GateKind.SWAP:
+                violations.append(f"inserted non-SWAP gate {gate}")
                 continue
-            mapping.swap(*item.gate.qubits)
+            mapping.swap(*gate.qubits)
             continue
-        operands = tuple(mapping.inv[q] for q in item.gate.qubits)
-        if any(o >= n for o in operands):
-            violations.append(f"{item.gate} acts on an unoccupied physical qubit")
+        operands = tuple(map(inv.__getitem__, gate.qubits))
+        if not program.issuperset(operands):
+            violations.append(f"{gate} acts on an unoccupied physical qubit")
             continue
-        logical.append(item.gate.with_qubits(operands))
+        logical.append(gate.with_qubits(operands))
     return ReplayResult(logical, mapping, violations)
 
 

@@ -278,6 +278,28 @@ def is_commuting_reordering_reference(original, candidate) -> bool:
 # endpoints re-derived from every front gate, and every candidate scored by
 # heuristic_priority over the whole front, on each call.
 
+def heuristic_priority(swap: tuple[int, int], cf_gates, fwd: list[int],
+                       distances: list[list[int]]) -> int:
+    """Total-distance gain of a SWAP over the pending CF two-qubit gates.
+
+    ``fwd`` is the logical-to-physical list of the current placement.
+    Positive means the swap moves interacting qubits closer on aggregate.
+    Already-adjacent pairs sit at distance 1 and can only be penalized, which
+    stops the search from tearing apart a gate that is merely waiting for its
+    qubits to unlock.
+    """
+    i, j = swap
+    score = 0
+    for gate in cf_gates:
+        if gate.kind not in (GateKind.CX, GateKind.SWAP):
+            continue
+        pa, pb = fwd[gate.qubits[0]], fwd[gate.qubits[1]]
+        na = j if pa == i else i if pa == j else pa
+        nb = j if pb == i else i if pb == j else pb
+        score += distances[pa][pb] - distances[na][nb]
+    return score
+
+
 def candidate_swaps_reference(cf_gates, mapping, locks: list[int], t: int,
                               arch) -> list[tuple[int, int]]:
     """Free coupling edges touching an operand of a non-compliant two-qubit gate."""
@@ -300,8 +322,6 @@ def candidate_swaps_reference(cf_gates, mapping, locks: list[int], t: int,
 def swap_scores_reference(cf_gates, mapping, locks: list[int], t: int,
                           arch) -> dict[tuple[int, int], int]:
     """Every candidate SWAP with its score over the whole front."""
-    from codar_router.router import heuristic_priority
-
     return {edge: heuristic_priority(edge, cf_gates, mapping.fwd, arch.distances)
             for edge in candidate_swaps_reference(cf_gates, mapping, locks, t, arch)}
 

@@ -21,7 +21,6 @@ from codar_router import (
 )
 from codar_router.arch import (Architecture, CouplingGraph, DEFAULT_DURATIONS,
                                all_pairs_distances, grid_architecture)
-from codar_router.router import heuristic_priority
 from codar_router.cli import bench_corpus
 from codar_router.verify import dependency_equivalence, statevector_oracle
 
@@ -29,6 +28,7 @@ from oracles import (
     cf_front_bruteforce,
     compliance_violations,
     floyd_warshall,
+    heuristic_priority,
     no_predecessor_front_reference,
     random_unitary_gate,
 )

@@ -27,13 +27,14 @@ from codar_router import (
     route,
 )
 from codar_router.commutation import LaneFrontier
-from codar_router.router import _SwapSearch, heuristic_priority
+from codar_router.router import _SwapSearch
 from codar_router.verify import _is_commuting_reordering, dependency_equivalence, replay_schedule
 
 from oracles import (
     best_swap_reference,
     candidate_swaps_reference,
     cf_front_reference,
+    heuristic_priority,
     is_commuting_reordering_reference,
     no_predecessor_front_reference,
     random_unitary_gate,
@@ -101,10 +102,7 @@ def test_cf_front_early_exit_matches_full_scan(seed):
     rng = random.Random(seed)
     n = rng.randint(1, 4)
     gates = random_gates(rng, n, rng.randint(0, 30))
-    q = rng.randrange(n)
-    lane = [g for g in gates if q in g.qubits]
     assert cf_front(gates) == cf_front_reference(gates)
-    assert cf_front(lane, lane=q) == cf_front_reference(lane)
 
 
 @given(st.integers(0, 10_000))
@@ -117,7 +115,7 @@ def test_lane_front_is_a_run_from_the_head(seed):
     gates = random_gates(rng, n, rng.randint(0, 30))
     for q in range(n):
         lane = [g for g in gates if q in g.qubits]
-        front = cf_front(lane, lane=q)
+        front = cf_front(lane)
         assert front == set(range(len(front)))
 
 
@@ -251,37 +249,13 @@ def test_lane_frontier_takes_only_a_set():
     assert frontier.front == {1}
 
 
-def test_cf_front_reads_a_lane_only_up_to_where_it_closes():
-    def gates_read(gates) -> int:
-        read = []
-
-        def lane():
-            for gate in gates:
-                read.append(gate)
-                yield gate
-
-        cf_front(lane(), lane=0)
-        return len(read)
-
-    h, x, t = Gate(GateKind.H, (0,)), Gate(GateKind.X, (0,)), Gate(GateKind.T, (0,))
-    # An H mark leaves room for repeats of it; an X after it closes the qubit.
-    assert gates_read([h, h, x, t, t]) == 3
-    # Diagonal marks keep the qubit open to the end.
-    assert gates_read([t, Gate(GateKind.CX, (0, 1)), Gate(GateKind.U1, (0,), (0.3,)), t]) == 4
-    # A measure admits no repeat; two U3 angles leave no single repeat.
-    measure = Gate(GateKind.MEASURE, (0,), cbit=0)
-    assert gates_read([measure, measure, t]) == 1
-    u3, other = (Gate(GateKind.U3, (0,), angles) for angles in U3_ANGLES)
-    assert gates_read([u3, u3, other, u3]) == 3
-
-
 def test_repeat_passes_only_past_marks_of_its_own_signature():
     # Same entry, another signature: the repeat is blocked by the middle gate.
     u3, other = (Gate(GateKind.U3, (0,), angles) for angles in U3_ANGLES)
     swap01, swap02 = Gate(GateKind.SWAP, (0, 1)), Gate(GateKind.SWAP, (0, 2))
     for gates in ([u3, other, u3], [swap01, swap02, swap01]):
-        assert cf_front(gates) == cf_front(gates, lane=0) == {0}
-    assert cf_front([u3, u3, swap01, swap01], lane=0) == {0, 1}
+        assert cf_front(gates) == {0}
+    assert cf_front([u3, u3, swap01, swap01]) == {0, 1}
 
 
 def check_verdict(original, candidate) -> bool:
@@ -438,11 +412,13 @@ def test_swap_search_state_matches_search_from_scratch():
 
 @pytest.mark.parametrize("device", ["grid:10x10", "q20-tokyo"])
 def test_edge_score_matches_heuristic_priority(device):
-    """The search's own edge score is heuristic_priority over the gates on both qubits."""
+    """The search's own edge score is heuristic_priority over the gates on both
+    qubits, and its forced map, for each blocked gate under random locks, is
+    the search from scratch over that gate alone."""
     arch = resolve_architecture(device)
     num_physical = arch.num_qubits
     edges = sorted(arch.graph.edges)
-    checked = 0
+    checked = forced = ties = 0
     for seed in range(12):
         rng = random.Random(seed)
         n = rng.choice((3, 8, num_physical))
@@ -462,7 +438,18 @@ def test_edge_score_matches_heuristic_priority(device):
             assert search.score(i, j) == expected
             assert heuristic_priority((i, j), gates, fwd, arch.distances) == expected
             checked += bool(on_edge)
+        locks, t = [rng.randrange(3) for _ in range(num_physical)], 1
+        for seq in search.blocked:
+            found = search.forced(seq, locks, t)
+            target = (gates[seq],)
+            assert found == {edge: score for edge, score in swap_scores_reference(
+                target, placement, locks, t, arch).items() if score > 0}
+            assert search.best(found) == best_swap_reference(target, placement, locks, t, arch)
+            forced += bool(found)
+            ties += list(found.values()).count(max(found.values(), default=0)) > 1
     assert checked > 100
+    # Forced maps are often non-empty, and some best scores are shared.
+    assert forced > 50 and ties > 20
 
 
 def test_candidate_map_matches_search_from_scratch_in_every_phase(monkeypatch, tune_router):

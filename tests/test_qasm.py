@@ -303,6 +303,21 @@ def test_validate_bad_arity_and_negative_classical_bit():
         ("BadParams", "negative classical bit", 1)]
 
 
+def test_measure_outside_the_classical_register_is_refused():
+    # emit_program would write creg c[1] and measure q[0] -> c[5], which
+    # parse_program rejects; an unset bit stands for the qubit's own index.
+    c = Circuit(2, [Gate(GateKind.H, (0,)), Gate(GateKind.MEASURE, (0,), cbit=5)],
+                num_clbits=1)
+    assert [(d.code, d.message, d.gate_index) for d in validate(c, 2)] == [
+        ("BadParams", "classical bit 5 outside c[1]", 1)]
+    with pytest.raises(InvalidCircuitError, match=re.escape("classical bit 5 outside c[1]")):
+        route(c, preset_architecture("square4"))
+    unset = Circuit(2, [Gate(GateKind.MEASURE, (0,)), Gate(GateKind.MEASURE, (1,))],
+                    num_clbits=1)
+    assert [(d.code, d.gate_index) for d in validate(unset, 2)] == [("BadParams", 1)]
+    assert validate(Circuit(2, unset.gates, num_clbits=2), 2) == []
+
+
 def test_validate_duplicate_and_range():
     c = Circuit(2)
     c.gates.append(Gate(GateKind.CX, (1, 1)))

@@ -19,11 +19,10 @@ from codar_router import (
     validate,
 )
 from codar_router.router import (InvalidCircuitError, LockViolationError, RouterError,
-                                 ScheduledGate, candidate_swaps, heuristic_priority, launch,
-                                 weighted_depth)
+                                 ScheduledGate, _SwapSearch, launch, weighted_depth)
 from codar_router.verify import replay_schedule
 
-from oracles import compliance_violations
+from oracles import candidate_swaps_reference, compliance_violations, heuristic_priority
 
 
 def sched_map(result):
@@ -105,17 +104,29 @@ def test_launch_on_busy_qubit_raises(square4):
 
 def test_candidate_swaps_walkthrough(demo6):
     # The blocked CX(0,3) under the identity mapping: endpoints 0 and 3.
-    endpoints = {0, 3}
+    blocked = [Gate(GateKind.CX, (0, 3))]
+    mapping = Mapping.identity(6, 6)
     # cycle 0 of the walkthrough: locks as just after CX(0,2) and T(1) launch
     locks = [2, 1, 2, 0, 0, 0]
-    assert candidate_swaps(endpoints, locks, 0, demo6) == [(3, 5)]
+    assert candidate_swaps_reference(blocked, mapping, locks, 0, demo6) == [(3, 5)]
     # cycle 1: q1 releases, q2 still busy
-    assert candidate_swaps(endpoints, locks, 1, demo6) == [(1, 3), (3, 5)]
+    assert candidate_swaps_reference(blocked, mapping, locks, 1, demo6) == [(1, 3), (3, 5)]
+
+
+def test_forced_search_walkthrough(demo6):
+    # The same state, with CX(0,3) forced: (3,5) only moves q3 away, so no
+    # edge gains at cycle 0, and (1,3) gains 1 once q1 releases.
+    search = _SwapSearch([Gate(GateKind.CX, (0, 3))], Mapping.identity(6, 6), demo6)
+    search.add([0])
+    locks = [2, 1, 2, 0, 0, 0]
+    assert search.forced(0, locks, 0) == {}
+    assert search.forced(0, locks, 1) == {(1, 3): 1}
 
 
 def test_candidate_swaps_no_blocked_gates(square4):
     # CX(0,1) is compliant on square4, so nothing is blocked: no endpoints.
-    assert candidate_swaps(set(), [0] * 4, 0, square4) == []
+    assert candidate_swaps_reference([Gate(GateKind.CX, (0, 1))], Mapping.identity(4, 4),
+                                     [0] * 4, 0, square4) == []
 
 
 def test_heuristic_square4_positive(square4):

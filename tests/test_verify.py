@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -213,6 +215,25 @@ def test_inserted_non_swap_fails_replay_and_dependency_check():
     report = dependency_equivalence(Circuit(2).h(0), Schedule(items, init, init.copy()))
     assert not report.dependency_ok
     assert report.details == ["inserted non-SWAP gate cx 0,1"]
+
+
+def test_operands_outside_the_device_fail_both_checks(square4):
+    # A routed h q[1] moved to qubit -3 must not wrap round to qubit 1, nor one
+    # moved to qubit 7 raise IndexError; an inserted SWAP off the device is
+    # rejected the same way.
+    circuit = Circuit(4).h(1).cx(0, 3)
+    schedule = route(circuit, square4).schedule
+    kinds = [it.gate.kind for it in schedule.items]
+    h, swap = kinds.index(GateKind.H), kinds.index(GateKind.SWAP)
+    assert schedule.items[swap].inserted
+    for k, qubits in ((h, (-3,)), (h, (7,)), (swap, (3, 4))):
+        items = list(schedule.items)
+        items[k] = dataclasses.replace(items[k], gate=items[k].gate.with_qubits(qubits))
+        moved = dataclasses.replace(schedule, items=items)
+        report = verify_equivalence(circuit, moved)
+        assert not report.dependency_ok and report.oracle_ok is False and not report.ok
+        assert f"{items[k].gate} acts on a qubit outside the device" in report.details
+        assert statevector_oracle(circuit, moved)[0] is False
 
 
 def test_dependency_identity_routing():
