@@ -60,16 +60,20 @@ _NUM_PARAMS = {
 }
 
 TWO_QUBIT_KINDS = frozenset({GateKind.CX, GateKind.SWAP})
+_MEASURE = GateKind.MEASURE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Gate:
     """One gate application.
 
     ``qubits`` are logical indices in a source circuit and physical indices in
-    a routed one.  ``cbit`` is the classical target of a MEASURE.  Structural
-    checks (arity, duplicates) live in the parser and in :func:`validate`, so
-    programmatically built gates can be diagnosed instead of rejected.
+    a routed one.  ``cbit`` is the classical target of a MEASURE.  A MEASURE
+    built without one targets the bit of its own qubit's index, fixed when
+    the gate is built, so the gate keeps writing that bit when it is moved
+    to other qubits.  Structural checks (arity, duplicates) live in the
+    parser and in :func:`validate`, so programmatically built gates can be
+    diagnosed instead of rejected.
     """
 
     kind: GateKind
@@ -77,6 +81,21 @@ class Gate:
     params: tuple[float, ...] = ()
     cbit: int | None = None
     source_line: int = 0
+
+    def __init__(self, kind: GateKind, qubits: tuple[int, ...],
+                 params: tuple[float, ...] = (), cbit: int | None = None,
+                 source_line: int = 0):
+        # Fills the instance dict directly: the generated frozen ``__init__``
+        # pays an ``object.__setattr__`` call per field, and routing builds a
+        # gate per launch.  A test checks that every field is set.
+        if kind is _MEASURE and cbit is None and qubits:
+            cbit = qubits[0]
+        d = self.__dict__
+        d["kind"] = kind
+        d["qubits"] = qubits
+        d["params"] = params
+        d["cbit"] = cbit
+        d["source_line"] = source_line
 
     def signature(self) -> tuple:
         """Identity key ignoring provenance; equal signatures mean the same operation.

@@ -471,8 +471,7 @@ def emit_program(circuit: Circuit, decompose_swap: bool = False) -> str:
         lines.append(f"creg {c}[{n_clbits}];")
     for gate in circuit.gates:
         if gate.kind is GateKind.MEASURE:
-            cbit = gate.cbit if gate.cbit is not None else gate.qubits[0]
-            lines.append(f"measure {q}[{gate.qubits[0]}] -> {c}[{cbit}];")
+            lines.append(f"measure {q}[{gate.qubits[0]}] -> {c}[{gate.cbit}];")
         elif gate.kind is GateKind.BARRIER:
             if set(gate.qubits) == set(range(circuit.num_qubits)):
                 lines.append(f"barrier {q};")
@@ -485,7 +484,13 @@ def emit_program(circuit: Circuit, decompose_swap: bool = False) -> str:
             lines.append(f"cx {q}[{b}],{q}[{a}];")
             lines.append(f"cx {q}[{a}],{q}[{b}];")
         else:
-            ops = ",".join(f"{q}[{i}]" for i in gate.qubits)
+            qubits = gate.qubits
+            if len(qubits) == 1:
+                ops = f"{q}[{qubits[0]}]"
+            elif len(qubits) == 2:
+                ops = f"{q}[{qubits[0]}],{q}[{qubits[1]}]"
+            else:
+                ops = ",".join(f"{q}[{i}]" for i in qubits)
             if gate.params:
                 pars = ",".join(_format_param(p) for p in gate.params)
                 lines.append(f"{gate.kind.value}({pars}) {ops};")
@@ -533,15 +538,12 @@ def validate(circuit: Circuit, arch_qubits: int) -> list[Diagnostic]:
         if not all(map(math.isfinite, gate.params)):
             out.append(Diagnostic(
                 "BadParams", f"{gate.kind.value} parameter is not a finite number", i))
-        if gate.kind is GateKind.MEASURE:
-            if gate.cbit is not None and gate.cbit < 0:
+        if gate.kind is GateKind.MEASURE and gate.cbit is not None:
+            if gate.cbit < 0:
                 out.append(Diagnostic("BadParams", "negative classical bit", i))
-            elif circuit.num_clbits and gate.qubits:
-                # The bit emit_program writes: the qubit's own index when unset.
-                cbit = gate.qubits[0] if gate.cbit is None else gate.cbit
-                if cbit >= circuit.num_clbits:
-                    out.append(Diagnostic(
-                        "BadParams",
-                        f"classical bit {cbit} outside {circuit.creg_name}[{circuit.num_clbits}]",
-                        i))
+            elif circuit.num_clbits and gate.cbit >= circuit.num_clbits:
+                out.append(Diagnostic(
+                    "BadParams",
+                    f"classical bit {gate.cbit} outside {circuit.creg_name}[{circuit.num_clbits}]",
+                    i))
     return out

@@ -94,7 +94,7 @@ class Mapping:
         return f"Mapping({self.forward}, {self.num_physical})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ScheduledGate:
     """One issued gate: physical operands plus its time slot.
 
@@ -108,6 +108,17 @@ class ScheduledGate:
     duration: int
     true_duration: int
     inserted: bool = False
+
+    def __init__(self, gate: Gate, start: int, duration: int, true_duration: int,
+                 inserted: bool = False):
+        # Fills the instance dict directly, as ``Gate.__init__`` does: one
+        # record is built per launch.  A test checks that every field is set.
+        d = self.__dict__
+        d["gate"] = gate
+        d["start"] = start
+        d["duration"] = duration
+        d["true_duration"] = true_duration
+        d["inserted"] = inserted
 
     @property
     def end(self) -> int:
@@ -217,8 +228,8 @@ class _SwapSearch:
 
     It holds the front's two-qubit gates indexed by the physical qubit of each
     operand, with the physical qubit of the other operand, the source
-    indices of the blocked (non-compliant) ones among them, and
-    :attr:`found`, the map from each strictly positive scoring SWAP candidate
+    indices of the blocked (non-compliant) ones among them and their count
+    per physical qubit, and :attr:`found`, the map from each strictly positive scoring SWAP candidate
     to its score, as ``candidate_swaps_reference`` and ``heuristic_priority``
     in ``tests/oracles.py`` give them over the whole front.
 
@@ -241,6 +252,8 @@ class _SwapSearch:
         self.on_qubit: list[dict[int, int]] = [{} for _ in range(arch.num_qubits)]
         #: Source indices of the blocked front two-qubit gates.
         self.blocked: set[int] = set()
+        #: Per physical qubit, how many blocked gates have an operand on it.
+        self.n_blocked = [0] * arch.num_qubits
         self.found: dict[tuple[int, int], int] = {}
         #: Physical qubits whose lock or gates changed since the last refresh.
         self.dirty: set[int] = set()
@@ -260,6 +273,8 @@ class _SwapSearch:
             self.on_qubit[b][seq] = a
             if dist[a][b] != 1:
                 self.blocked.add(seq)
+                self.n_blocked[a] += 1
+                self.n_blocked[b] += 1
             self.dirty.add(a)
             self.dirty.add(b)
 
@@ -273,7 +288,10 @@ class _SwapSearch:
             a, b = fwd[gate.qubits[0]], fwd[gate.qubits[1]]
             del self.on_qubit[a][seq]
             del self.on_qubit[b][seq]
-            self.blocked.discard(seq)
+            if seq in self.blocked:
+                self.blocked.remove(seq)
+                self.n_blocked[a] -= 1
+                self.n_blocked[b] -= 1
             self.dirty.add(a)
             self.dirty.add(b)
 
@@ -307,25 +325,26 @@ class _SwapSearch:
         An edge qualifies while both its qubits are free at ``t`` and one of
         them holds an operand of a blocked gate, as in
         ``candidate_swaps_reference``, and it stays in the map while its
-        score is positive.
+        score is positive.  The edges of the free dirty qubits are gathered
+        first, so an edge between two of them is tested and scored once.
         """
-        found, edges_at, on_qubit, dirty = self.found, self.edges_at, self.on_qubit, self.dirty
-        blocked, score = self.blocked, self.score
+        found, edges_at, dirty = self.found, self.edges_at, self.dirty
+        n_blocked, score = self.n_blocked, self.score
+        edges = set()
         for p in dirty:
-            if locks[p] > t:
-                if found:
-                    for edge in edges_at[p]:
-                        found.pop(edge, None)
-                continue
-            for edge in edges_at[p]:
-                a, b = edge
-                if locks[a] <= t and locks[b] <= t and not (
-                        blocked.isdisjoint(on_qubit[a]) and blocked.isdisjoint(on_qubit[b])):
-                    gain = score(a, b)
-                    if gain > 0:
-                        found[edge] = gain
-                        continue
-                found.pop(edge, None)
+            if locks[p] <= t:
+                edges.update(edges_at[p])
+            elif found:
+                for edge in edges_at[p]:
+                    found.pop(edge, None)
+        for edge in edges:
+            a, b = edge
+            if locks[a] <= t and locks[b] <= t and (n_blocked[a] or n_blocked[b]):
+                gain = score(a, b)
+                if gain > 0:
+                    found[edge] = gain
+                    continue
+            found.pop(edge, None)
         dirty.clear()
         return found
 
@@ -401,11 +420,13 @@ class _Router:
                 if seq in blocked:
                     continue
                 gate = gates[seq]
-                if any(locks[fwd[q]] > t for q in gate.qubits):
-                    continue
-                pgate = gate.with_qubits(tuple(fwd[q] for q in gate.qubits))
-                self._issue(pgate)
-                taken.add(seq)
+                operands = tuple(map(fwd.__getitem__, gate.qubits))
+                for p in operands:
+                    if locks[p] > t:
+                        break
+                else:
+                    self._issue(gate.with_qubits(operands))
+                    taken.add(seq)
             if not taken:
                 return launched
             launched = True

@@ -324,15 +324,16 @@ def test_blocker_is_the_earliest_unplaced_non_commuting_gate():
 def test_swap_search_state_matches_search_from_scratch():
     """Random front entries, launches, SWAPs, locks and clock steps on large devices.
 
-    After every step the state's blocked set and its oldest gate must equal
-    what the search from scratch derives from the whole front.  Locks change
-    as in a route: the clock only moves forward, a lock is taken only on a
-    free qubit, some of zero length as a barrier's, and every lock taken or
-    released is reported to the search.  A cycle then refreshes the map and
-    takes SWAPs from it: the map and each pick must equal the search from
-    scratch before the first SWAP and after every SWAP, with that SWAP's
-    qubits locked and its gates moved, and at times a candidate's qubits
-    locked as well.
+    After every step the state's blocked set, its count of blocked gates on
+    each physical qubit and its oldest gate must equal what the search from
+    scratch derives from the whole front; the counts are checked after
+    every SWAP as well.  Locks change as in a route: the clock only moves
+    forward, a lock is taken only on a free qubit, some of zero length as a
+    barrier's, and every lock taken or released is reported to the search.
+    A cycle then refreshes the map and takes SWAPs from it: the map and each
+    pick must equal the search from scratch before the first SWAP and after
+    every SWAP, with that SWAP's qubits locked and its gates moved, and at
+    times a candidate's qubits locked as well.
     """
     ties = multi_swap_cycles = releases = 0
     for seed in range(24):
@@ -351,6 +352,18 @@ def test_swap_search_state_matches_search_from_scratch():
         edges = sorted(arch.graph.edges)
         locks = [0] * num_physical
         t = 0
+
+        def blocked_counts():
+            """Per physical qubit, the blocked front gates with an operand on it."""
+            fwd, counts = placement.fwd, [0] * num_physical
+            for seq in front:
+                if gates[seq].kind is not GateKind.H:
+                    a, b = (fwd[q] for q in gates[seq].qubits)
+                    if arch.distances[a][b] != 1:
+                        counts[a] += 1
+                        counts[b] += 1
+            return counts
+
         for _ in range(40):
             roll = rng.random()
             if roll < 0.35 and waiting:
@@ -382,6 +395,7 @@ def test_swap_search_state_matches_search_from_scratch():
                        and arch.distances[fwd[gates[seq].qubits[0]]][fwd[gates[seq].qubits[1]]] != 1]
             assert search.blocked == set(blocked)
             assert min(search.blocked, default=None) == (blocked[0] if blocked else None)
+            assert search.n_blocked == blocked_counts()
 
             found = search.refresh(locks, t)
             swaps = 0
@@ -398,6 +412,7 @@ def test_swap_search_state_matches_search_from_scratch():
                 locks[i] = locks[j] = t + rng.choice((1, 6))
                 search.dirty.update(best)
                 search.swap(i, j)
+                assert search.n_blocked == blocked_counts()
                 # Some free qubits are locked as well, with candidates left.
                 if found and rng.random() < 0.5:
                     taken = [p for edge in rng.sample(sorted(found), 1) for p in edge]

@@ -228,6 +228,17 @@ def test_roundtrip_structural_equality():
     assert parse_program(emit_program(again)).structurally_equal(again)
 
 
+def test_roundtrip_of_measures_built_without_a_classical_bit():
+    # Each measure writes its own qubit's bit, so emit declares a register
+    # large enough for the highest one.
+    c = Circuit(3, [Gate(GateKind.H, (0,)), Gate(GateKind.MEASURE, (0,)),
+                    Gate(GateKind.MEASURE, (2,))])
+    text = emit_program(c)
+    assert "creg c[3];" in text.splitlines()
+    assert "measure q[2] -> c[2];" in text.splitlines()
+    assert parse_program(text).structurally_equal(c)
+
+
 def test_emit_full_register_barrier_and_integral_parameter():
     c = Circuit(3).rz(0, 1.0)
     c.barrier()

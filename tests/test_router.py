@@ -12,6 +12,7 @@ from codar_router import (
     Mapping,
     RouterConfig,
     TooManyQubitsError,
+    emit_program,
     grid_architecture,
     initial_mapping,
     rescore_true_durations,
@@ -20,7 +21,7 @@ from codar_router import (
 )
 from codar_router.router import (InvalidCircuitError, LockViolationError, RouterError,
                                  ScheduledGate, _SwapSearch, launch, weighted_depth)
-from codar_router.verify import replay_schedule
+from codar_router.verify import replay_schedule, verify_equivalence
 
 from oracles import candidate_swaps_reference, compliance_violations, heuristic_priority
 
@@ -294,6 +295,21 @@ def test_measure_keeps_original_classical_bit(square4):
     assert measures[0].qubits == (final.fwd[3],)
 
 
+def test_measure_built_without_a_classical_bit_keeps_it_when_routed(square4):
+    circ = Circuit(4, [Gate(GateKind.CX, (0, 3)), Gate(GateKind.MEASURE, (0,))], num_clbits=4)
+    result = route(circ, square4)
+    (item,) = [it for it in result.schedule.items if it.gate.kind is GateKind.MEASURE]
+    assert item.gate.qubits == (1,)  # moved by the one SWAP
+    assert "measure q[0] -> c[0];" in emit_program(circ).splitlines()
+    assert "measure q[1] -> c[0];" in emit_program(result.routed).splitlines()
+    assert verify_equivalence(circ, result.schedule).ok
+    # Written to the bit of the qubit it was moved to, it is another program.
+    moved = dataclasses.replace(item, gate=Gate(GateKind.MEASURE, (1,), cbit=1))
+    items = [moved if it is item else it for it in result.schedule.items]
+    report = verify_equivalence(circ, dataclasses.replace(result.schedule, items=items))
+    assert not report.ok and "extra or missing gate" in report.details[0]
+
+
 def test_swap_with_unoccupied_physical_qubit():
     from codar_router import grid_architecture
     arch = grid_architecture(1, 4)  # line of 4, circuit uses only 3 qubits
@@ -342,6 +358,31 @@ def test_idle_cycles_skip_to_the_stall_limit_under_a_long_lock(monkeypatch, tune
         "a58680d4a0730fd1defe322fddcde80460711b99240e495c0f16da538ec7347f")
 
 
+@pytest.mark.parametrize("cls, args", [
+    (Gate, (GateKind.MEASURE, (3,), (0.5,), 2, 7)),
+    (ScheduledGate, (Gate(GateKind.SWAP, (1, 2)), 4, 6, 3, True)),
+])
+def test_hand_written_constructors_set_every_field(cls, args):
+    fields = dataclasses.fields(cls)
+    assert len(args) == len(fields)
+    # Every argument differs from its field's default, so one that is
+    # dropped or swapped for another shows.
+    for field, arg in zip(fields, args):
+        assert field.default is dataclasses.MISSING or arg != field.default
+    by_position = cls(*args)
+    by_keyword = cls(**{field.name: arg for field, arg in zip(fields, args)})
+    for record in (by_position, by_keyword):
+        assert [getattr(record, field.name) for field in fields] == list(args)
+    assert by_position == by_keyword and hash(by_position) == hash(by_keyword)
+    assert repr(by_position) == repr(by_keyword)
+    assert dataclasses.replace(by_position) == by_position
+    changed = dataclasses.replace(by_position, **{fields[1].name: 9})
+    assert getattr(changed, fields[1].name) == 9 and changed != by_position
+    for field in fields:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(by_position, field.name, None)
+
+
 def test_with_qubits_keeps_every_other_field():
     gate = Gate(GateKind.MEASURE, (3,), (0.5,), cbit=2, source_line=7)
     # Every field differs from its default, so one that is dropped shows.
@@ -352,6 +393,9 @@ def test_with_qubits_keeps_every_other_field():
     for field in dataclasses.fields(Gate):
         if field.name != "qubits":
             assert getattr(moved, field.name) == getattr(gate, field.name), field.name
+    # A measure built without a bit writes its own qubit's, also once moved.
+    assert Gate(GateKind.MEASURE, (3,)) == Gate(GateKind.MEASURE, (3,), cbit=3)
+    assert Gate(GateKind.MEASURE, (3,)).with_qubits((5,)).cbit == 3
 
 
 def test_lock_exclusivity_and_coupling(square4, corpus_dir):
