@@ -182,8 +182,6 @@ class LaneFrontier:
                 if not left[q]:
                     spent.append(q)
         front.difference_update(indices)
-        if not spent:
-            return set()
         entered = self._extend(spent)
         front |= entered
         return entered

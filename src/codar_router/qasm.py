@@ -484,13 +484,7 @@ def emit_program(circuit: Circuit, decompose_swap: bool = False) -> str:
             lines.append(f"cx {q}[{b}],{q}[{a}];")
             lines.append(f"cx {q}[{a}],{q}[{b}];")
         else:
-            qubits = gate.qubits
-            if len(qubits) == 1:
-                ops = f"{q}[{qubits[0]}]"
-            elif len(qubits) == 2:
-                ops = f"{q}[{qubits[0]}],{q}[{qubits[1]}]"
-            else:
-                ops = ",".join(f"{q}[{i}]" for i in qubits)
+            ops = ",".join([f"{q}[{i}]" for i in gate.qubits])
             if gate.params:
                 pars = ",".join(_format_param(p) for p in gate.params)
                 lines.append(f"{gate.kind.value}({pars}) {ops};")

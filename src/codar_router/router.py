@@ -229,9 +229,10 @@ class _SwapSearch:
     It holds the front's two-qubit gates indexed by the physical qubit of each
     operand, with the physical qubit of the other operand, the source
     indices of the blocked (non-compliant) ones among them and their count
-    per physical qubit, and :attr:`found`, the map from each strictly positive scoring SWAP candidate
-    to its score, as ``candidate_swaps_reference`` and ``heuristic_priority``
-    in ``tests/oracles.py`` give them over the whole front.
+    per physical qubit, and :attr:`found`, the map from each strictly
+    positive scoring SWAP candidate to its score, as
+    ``candidate_swaps_reference`` and ``heuristic_priority`` in
+    ``tests/oracles.py`` give them over the whole front.
 
     A coupling edge's candidacy depends only on the locks of its two qubits
     and the gates on them, and its score only on those gates and the
@@ -325,26 +326,24 @@ class _SwapSearch:
         An edge qualifies while both its qubits are free at ``t`` and one of
         them holds an operand of a blocked gate, as in
         ``candidate_swaps_reference``, and it stays in the map while its
-        score is positive.  The edges of the free dirty qubits are gathered
-        first, so an edge between two of them is tested and scored once.
+        score is positive.
         """
         found, edges_at, dirty = self.found, self.edges_at, self.dirty
         n_blocked, score = self.n_blocked, self.score
-        edges = set()
         for p in dirty:
-            if locks[p] <= t:
-                edges.update(edges_at[p])
-            elif found:
-                for edge in edges_at[p]:
-                    found.pop(edge, None)
-        for edge in edges:
-            a, b = edge
-            if locks[a] <= t and locks[b] <= t and (n_blocked[a] or n_blocked[b]):
-                gain = score(a, b)
-                if gain > 0:
-                    found[edge] = gain
-                    continue
-            found.pop(edge, None)
+            if locks[p] > t:
+                if found:
+                    for edge in edges_at[p]:
+                        found.pop(edge, None)
+                continue
+            for edge in edges_at[p]:
+                a, b = edge
+                if locks[a] <= t and locks[b] <= t and (n_blocked[a] or n_blocked[b]):
+                    gain = score(a, b)
+                    if gain > 0:
+                        found[edge] = gain
+                        continue
+                found.pop(edge, None)
         dirty.clear()
         return found
 
