@@ -7,6 +7,8 @@ commutativity-off ablation (re-costed with device durations), emitting a CSV
 and JSON comparison table.
 
 Exit codes: 0 success, 1 input/diagnostic errors, 2 verification failure.
+Every exit-1 failure raises ``SystemExit`` with its ``error: ...`` message,
+which the interpreter prints to stderr.
 """
 from __future__ import annotations
 
@@ -33,9 +35,24 @@ from .router import (
 from .verify import EquivalenceReport, verify_equivalence
 
 
+#: ``--init`` value to :func:`initial_mapping` policy name.
+_INIT_POLICIES = {"identity": "identity", "reverse": "reverse_pass"}
+
+
+def _device(spec: str) -> Architecture:
+    try:
+        return resolve_architecture(spec)
+    except (ArchitectureError, OSError, json.JSONDecodeError) as exc:
+        raise SystemExit(f"error: {exc}") from None
+
+
 def _load_circuit(path: Path) -> Circuit:
+    if not path.exists():
+        raise SystemExit(f"error: input file {path} does not exist")
     try:
         return parse_file(path)
+    except QasmError as exc:
+        raise SystemExit(f"error: {path}: {exc}") from None
     except OSError as exc:
         raise SystemExit(f"error: cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
@@ -75,36 +92,22 @@ def build_report(name: str, arch: Architecture, result: RoutingResult,
 
 
 def run_route(args) -> int:
-    try:
-        arch = resolve_architecture(args.arch)
-    except (ArchitectureError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    arch = _device(args.arch)
     path = Path(args.input)
-    if not path.exists():
-        print(f"error: input file {path} does not exist", file=sys.stderr)
-        return 1
-    try:
-        circuit = _load_circuit(path)
-    except QasmError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return 1
+    circuit = _load_circuit(path)
     diagnostics = validate(circuit, arch.num_qubits)
     if diagnostics:
-        for d in diagnostics:
-            print(f"error: {path}: {d}", file=sys.stderr)
-        return 1
+        raise SystemExit("\n".join(f"error: {path}: {d}" for d in diagnostics))
 
     cfg = RouterConfig(duration_aware=not args.no_duration_aware,
                        commutativity_on=not args.no_commutativity)
-    init_policy = "reverse_pass" if args.init == "reverse" else "identity"
+    init_policy = _INIT_POLICIES[args.init]
     start = time.perf_counter()
     try:
         init = initial_mapping(circuit, arch, init_policy, cfg)
         result = route(circuit, arch, init, cfg)
     except ArchitectureError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return 1
+        raise SystemExit(f"error: {path}: {exc}") from None
     wall_ms = (time.perf_counter() - start) * 1000.0
     equivalence = verify_equivalence(circuit, result.schedule)
     report = build_report(path.stem, arch, result, cfg, init_policy, equivalence, wall_ms)
@@ -206,15 +209,9 @@ def comparison_csv(table: dict) -> str:
 def run_bench(args) -> int:
     corpus = Path(args.corpus) if args.corpus else bundled_corpus_dir()
     if not corpus.is_dir():
-        print(f"error: corpus directory {corpus} does not exist", file=sys.stderr)
-        return 1
-    try:
-        archs = [resolve_architecture(spec) for spec in args.arch]
-    except (ArchitectureError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    init_policy = "reverse_pass" if args.init == "reverse" else "identity"
-    table = bench_corpus(corpus, archs, init_policy)
+        raise SystemExit(f"error: corpus directory {corpus} does not exist")
+    archs = [_device(spec) for spec in args.arch]
+    table = bench_corpus(corpus, archs, _INIT_POLICIES[args.init])
     csv_text = comparison_csv(table)
     if args.out_csv:
         _write_text(args.out_csv, csv_text)
@@ -230,9 +227,8 @@ def run_bench(args) -> int:
         print(f"skipped {skip['circuit']} on {skip['arch']}: {skip['reason']}",
               file=sys.stderr)
     if table["errors"]:
-        for err in table["errors"]:
-            print(f"error: {err['circuit']}: {err['error']}", file=sys.stderr)
-        return 1
+        raise SystemExit("\n".join(f"error: {err['circuit']}: {err['error']}"
+                                   for err in table["errors"]))
     return 0
 
 
@@ -253,7 +249,7 @@ def make_parser() -> argparse.ArgumentParser:
                          help="schedule with unit gate durations")
     p_route.add_argument("--no-commutativity", action="store_true",
                          help="only gates with no pending predecessor are issuable")
-    p_route.add_argument("--init", choices=["identity", "reverse"], default="identity")
+    p_route.add_argument("--init", choices=_INIT_POLICIES, default="identity")
     p_route.add_argument("--decompose-swap", action="store_true",
                          help="emit each SWAP as three CX gates")
     p_route.set_defaults(func=run_route)
@@ -264,7 +260,7 @@ def make_parser() -> argparse.ArgumentParser:
                          help="architecture (repeatable)")
     p_bench.add_argument("--out-csv", help="CSV output path (default: stdout)")
     p_bench.add_argument("--out-json", help="JSON output path")
-    p_bench.add_argument("--init", choices=["identity", "reverse"], default="identity")
+    p_bench.add_argument("--init", choices=_INIT_POLICIES, default="identity")
     p_bench.set_defaults(func=run_bench)
     return parser
 

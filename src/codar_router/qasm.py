@@ -374,7 +374,7 @@ class _Parser:
             for i in range(self.qreg_size):
                 self.gates.append(Gate(GateKind.MEASURE, (i,), (), i, line))
         else:
-            self.gates.append(Gate(GateKind.MEASURE, (q,), (), q if c is None else c, line))
+            self.gates.append(Gate(GateKind.MEASURE, (q,), (), c, line))
 
     def _barrier(self, line: int) -> None:
         qubits: list[int] = []

@@ -134,7 +134,8 @@ class Schedule:
 
     @property
     def weighted_depth(self) -> int:
-        return weighted_depth(self.items)
+        """Completion cycle of the schedule: latest gate end, 0 when empty."""
+        return max((it.start + it.duration for it in self.items), default=0)
 
     @property
     def swap_count(self) -> int:
@@ -164,11 +165,6 @@ class Schedule:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
-
-def weighted_depth(items) -> int:
-    """Completion cycle of a schedule: latest gate end, 0 when empty."""
-    return max((it.start + it.duration for it in items), default=0)
 
 
 def rescore_true_durations(items, arch: Architecture) -> int:

@@ -248,27 +248,23 @@ def dependency_equivalence(original: Circuit, schedule: Schedule) -> Equivalence
     details = list(replay.violations)
     if replay.final_mapping != schedule.final_mapping:
         details.append("replayed SWAPs do not reproduce the reported final mapping")
-    ok, problems = _is_commuting_reordering(list(original.gates), replay.logical_gates)
+    ok, problems = _is_commuting_reordering(original.gates, replay.logical_gates)
     details.extend(problems)
     return EquivalenceReport(dependency_ok=ok and not details, details=details)
 
 
 # --- statevector oracle ----------------------------------------------------
 
-def _strip_terminal_measures(gates: list[Gate]) -> list[Gate]:
+def _check_terminal_measures(gates: list[Gate]) -> None:
+    """Raise :class:`OracleLimitError` if a non-barrier gate follows a measure on its qubit."""
     last_touch: dict[int, int] = {}
     for i, gate in enumerate(gates):
         for q in gate.qubits:
             if gate.kind is not GateKind.BARRIER:
                 last_touch[q] = i
-    out = []
     for i, gate in enumerate(gates):
-        if gate.kind is GateKind.MEASURE:
-            if last_touch.get(gate.qubits[0]) != i:
-                raise OracleLimitError("mid-circuit measurement is outside the oracle's scope")
-            continue
-        out.append(gate)
-    return out
+        if gate.kind is GateKind.MEASURE and last_touch.get(gate.qubits[0]) != i:
+            raise OracleLimitError("mid-circuit measurement is outside the oracle's scope")
 
 
 def statevector_oracle(original: Circuit, schedule: Schedule) -> tuple[bool, float]:
@@ -279,8 +275,8 @@ def statevector_oracle(original: Circuit, schedule: Schedule) -> tuple[bool, flo
     ``x 0; t 0`` gives the same ray from |0> but not from a random input.
     The routed side is replayed in program-qubit coordinates (inserted SWAPs
     become relocations), which keeps the state space at the program's qubit
-    count no matter how large the device is.  Terminal measurements are
-    stripped on both sides; mid-circuit measurement raises
+    count no matter how large the device is.  The simulation skips terminal
+    measurements on both sides; mid-circuit measurement raises
     :class:`OracleLimitError`.
     """
     n = original.num_qubits
@@ -289,15 +285,16 @@ def statevector_oracle(original: Circuit, schedule: Schedule) -> tuple[bool, flo
     replay = replay_schedule(schedule.items, schedule.initial_mapping)
     if replay.violations:
         return False, float("inf")
-    source = _strip_terminal_measures(list(original.gates))
-    routed = _strip_terminal_measures(replay.logical_gates)
+    _check_terminal_measures(original.gates)
+    _check_terminal_measures(replay.logical_gates)
     # Uniform random real and imaginary parts, from the standard library's
     # generator: ``np.random`` would add its extension modules to every
     # process that verifies.
     words = np.frombuffer(random.Random(0).randbytes(16 << n), dtype="<u8")
     start = (words / 2.0 ** 64 - 0.5).view(complex)
     start /= math.sqrt(np.vdot(start, start).real)
-    return states_close(simulate_gates(source, n, start), simulate_gates(routed, n, start))
+    return states_close(simulate_gates(original.gates, n, start),
+                        simulate_gates(replay.logical_gates, n, start))
 
 
 def verify_equivalence(original: Circuit, schedule: Schedule) -> EquivalenceReport:

@@ -45,6 +45,26 @@ def test_summary_skips_unpaired_runs_and_handles_one_pair():
     assert bench_pairs.summarize([run(0, "parent", rate=1)], {"rate": "higher"}) == {}
 
 
+def test_summary_judges_each_metric_against_its_bound_in_its_direction():
+    # Within a 25% bound: a rate down to 80 from 100, a time up to 12 from
+    # 10.  Outside it: a rate down to 70, a time up to 13.
+    runs = [run(0, "parent", rate_in=100, rate_out=100, ms_in=10, ms_out=10),
+            run(0, "change", rate_in=80, rate_out=70, ms_in=12, ms_out=13)]
+    better = {"rate_in": "higher", "rate_out": "higher", "ms_in": "lower", "ms_out": "lower"}
+    summary = bench_pairs.summarize(runs, better, dict.fromkeys(better, 0.25))
+    assert {name: entry["within_bound"] for name, entry in summary.items()} == {
+        "rate_in": True, "rate_out": False, "ms_in": True, "ms_out": False}
+    assert summary["ms_out"]["bound"] == 0.25
+    assert (summary["ms_out"]["parent"]["median"], summary["ms_out"]["change"]["median"]) == \
+        (10, 13)
+    assert (summary["ms_out"]["change_wins"], summary["ms_out"]["parent_wins"]) == (0, 1)
+    assert bench_pairs.report_line("ms_out", summary["ms_out"]) == (
+        "ms_out (lower is better): parent 10, change 13; change won 0 and parent 1 of 1 "
+        "pairs; OUTSIDE its 25% bound")
+    assert bench_pairs.report_line("rate_in", summary["rate_in"]).endswith(
+        "; within its 25% bound")
+
+
 @pytest.mark.parametrize("values, expected", [
     ([3.0], (3.0, 3.0, 3.0)),
     ([1, 2, 3, 4, 5], (2, 3, 4)),
@@ -112,3 +132,15 @@ def test_rerun_replaces_only_its_own_series_in_the_named_file(fake_benchmark, tm
 def test_out_is_required():
     with pytest.raises(SystemExit):
         bench_pairs.main(["HEAD~1", "--workload", "corpus"])
+
+
+def test_series_stores_and_prints_each_metric_against_its_bound(fake_benchmark, tmp_path,
+                                                                capsys):
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["HEAD~1", "--out", str(out), "--workload", "corpus",
+                             "--pairs", "2"]) == 0
+    (series,) = json.loads(out.read_text())["series"]
+    entry = series["summary"]["compile_gates_per_s"]
+    assert (entry["bound"], entry["within_bound"]) == (0.25, True)
+    assert bench_pairs.report_line("compile_gates_per_s", entry) in \
+        capsys.readouterr().out.splitlines()

@@ -4,7 +4,7 @@ import pytest
 
 from codar_router import parse_program
 from codar_router.cli import bench_corpus, comparison_csv, main
-from codar_router.router import ScheduledGate, weighted_depth
+from codar_router.router import ScheduledGate
 from codar_router.circuit import Gate, GateKind
 
 GOLDEN = "OPENQASM 2.0;\nqreg q[4];\nt q[1];\ncx q[0],q[2];\ncx q[0],q[3];\n"
@@ -41,7 +41,7 @@ def test_report_depth_matches_serialized_schedule(golden_file, tmp_path):
     items = [ScheduledGate(Gate(GateKind(i["gate"]), tuple(i["qubits"])),
                            i["start"], i["duration"], i["true_duration"], i["inserted"])
              for i in report["schedule"]["items"]]
-    assert weighted_depth(items) == report["weighted_depth"]
+    assert max(it.end for it in items) == report["weighted_depth"]
     assert report["schedule"]["weighted_depth"] == report["weighted_depth"]
 
 
@@ -56,31 +56,34 @@ def test_route_ablated_reports_true_duration_depth(golden_file, tmp_path):
     assert report["weighted_depth"] < report["true_duration_depth"]
 
 
-def test_route_missing_input_exits_one(tmp_path, capsys):
-    code = main(["route", "--arch", "square4", "--input", str(tmp_path / "nope.qasm")])
-    assert code == 1
-    assert "does not exist" in capsys.readouterr().err
+def test_route_missing_input_exits_one(tmp_path):
+    missing = tmp_path / "nope.qasm"
+    with pytest.raises(SystemExit) as info:
+        main(["route", "--arch", "square4", "--input", str(missing)])
+    assert info.value.code == f"error: input file {missing} does not exist"
 
 
-def test_route_parse_error_exits_one(tmp_path, capsys):
+def test_route_parse_error_exits_one(tmp_path):
     bad = tmp_path / "bad.qasm"
     bad.write_text("OPENQASM 2.0; qreg q[2]; frobnicate q[0];", encoding="utf-8")
-    code = main(["route", "--arch", "square4", "--input", str(bad)])
-    assert code == 1
-    assert "unknown gate" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        main(["route", "--arch", "square4", "--input", str(bad)])
+    assert info.value.code == f"error: {bad}: line 1: unknown gate 'frobnicate'"
 
 
-def test_route_too_many_qubits_exits_one(tmp_path, capsys):
+def test_route_too_many_qubits_exits_one(tmp_path):
     big = tmp_path / "big.qasm"
     big.write_text("OPENQASM 2.0; qreg q[36]; cx q[0],q[35];", encoding="utf-8")
-    code = main(["route", "--arch", "q20-tokyo", "--input", str(big)])
-    assert code == 1
-    assert "TooManyQubits" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        main(["route", "--arch", "q20-tokyo", "--input", str(big)])
+    assert info.value.code == \
+        f"error: {big}: TooManyQubits: circuit uses 36 qubits but architecture has 20"
 
 
-def test_route_unknown_arch_exits_one(golden_file, capsys):
-    code = main(["route", "--arch", "no-such-device", "--input", str(golden_file)])
-    assert code == 1
+def test_route_unknown_arch_exits_one(golden_file):
+    with pytest.raises(SystemExit) as info:
+        main(["route", "--arch", "no-such-device", "--input", str(golden_file)])
+    assert info.value.code == "error: [Errno 2] No such file or directory: 'no-such-device'"
 
 
 SQUARE2 = {"num_qubits": 2, "edges": [[0, 1]], "durations": {"cx": 2, "swap": 6}}
@@ -187,6 +190,26 @@ def test_bench_rows_skips_and_ratios(corpus_dir, square4):
     assert table["mean_ratio_by_arch"]["grid-6x6"] >= 1.0
 
 
+@pytest.mark.parametrize("start, means, digest", [
+    ("identity", {"q16-melbourne": 1.094964, "q20-tokyo": 1.230045, "q54-sycamore": 1.203176},
+     "d4648151e465ebeb296b58dd6480447548856c3efea4724bd02aa44051dcacae"),
+    ("reverse_pass", {"q16-melbourne": 1.139118, "q20-tokyo": 1.266165, "q54-sycamore": 1.136575},
+     "42b0b87835bc6f29849f88357171ed059757e35f53979654415d5ea9424eaf6a"),
+])
+def test_bench_pins_the_paper_comparison(corpus_dir, start, means, digest):
+    # The paper's ablation on its own devices: ablated over full depth for
+    # every bundled program.  A behaviour change re-records these values and
+    # lists old and new per device and start.
+    import hashlib
+
+    from codar_router import resolve_architecture
+    archs = [resolve_architecture(name) for name in means]
+    table = bench_corpus(corpus_dir, archs, start)
+    assert table["mean_ratio_by_arch"] == means
+    assert (len(table["rows"]), len(table["skipped"]), table["errors"]) == (35, 1, [])
+    assert hashlib.sha256(json.dumps(table, sort_keys=True).encode()).hexdigest() == digest
+
+
 def test_bench_empty_corpus(tmp_path, square4):
     table = bench_corpus(tmp_path, [square4])
     assert table == {"rows": [], "skipped": [], "errors": [], "mean_ratio_by_arch": {}}
@@ -227,9 +250,11 @@ def test_unwritable_output_path_exits_one_without_traceback(command, flag, golde
     assert info.value.code == f"error: cannot write {target}: No such file or directory"
 
 
-def test_bench_missing_corpus_exits_one(tmp_path, capsys):
-    code = main(["bench", "--corpus", str(tmp_path / "void"), "--arch", "square4"])
-    assert code == 1
+def test_bench_missing_corpus_exits_one(tmp_path):
+    void = tmp_path / "void"
+    with pytest.raises(SystemExit) as info:
+        main(["bench", "--corpus", str(void), "--arch", "square4"])
+    assert info.value.code == f"error: corpus directory {void} does not exist"
 
 
 def test_commutation_extra_config_key_is_ignored(golden_file, tmp_path):

@@ -249,6 +249,16 @@ def test_lane_frontier_takes_only_a_set():
     assert frontier.front == {1}
 
 
+def test_lane_frontier_counts_a_repeated_operand_once():
+    # ``validate`` refuses a CX on one qubit twice, but the dependency check
+    # takes any gate list: the lane holds the CX once, as its own run.
+    gates = [Gate(GateKind.CX, (0, 0)), Gate(GateKind.H, (0,))]
+    frontier = LaneFrontier(gates)
+    assert frontier.front == {0}
+    assert frontier.remove({0}) == {1}
+    assert check_verdict(gates, gates)
+
+
 def test_repeat_passes_only_past_marks_of_its_own_signature():
     # Same entry, another signature: the repeat is blocked by the middle gate.
     u3, other = (Gate(GateKind.U3, (0,), angles) for angles in U3_ANGLES)

@@ -3,11 +3,11 @@
 Each route must pass the dependency check and the slow reference checker in
 ``oracles.py``, schedule every source gate, keep every qubit's gates apart in
 time, put every two-qubit gate on a coupling edge, and reproduce the SHA-256
-of its ``Schedule.to_json()``.  The ``grid:10x10`` route hits stall events,
-so it goes through forced single-gate routing as well.  The 200-gate routes
-stall after every blocked cycle (stall limit 1) and, like the
-desperate-mode route, run out of a lowered SWAP budget and finish in
-desperate mode.  A program with barriers (zero-length locks) and terminal
+of its ``Schedule.to_json()``.  The ``grid:10x10`` and ``grid:20x20``
+routes hit stall events, so they go through forced single-gate routing as
+well.  The 200-gate routes stall after every blocked cycle (stall limit 1)
+and, like the desperate-mode route, run out of a lowered SWAP budget and
+finish in desperate mode.  A program with barriers (zero-length locks) and terminal
 measures, and a QFT, whose lanes hold long runs of commuting diagonal gates,
 are routed with the default and with the ablated config (unit durations).
 """
@@ -53,7 +53,9 @@ def random_program(num_qubits: int, num_gates: int, rng: random.Random) -> Circu
      "52ff61d11756a704f2e4bfa3ac0fedfad6828e8c16f97b542aadf8fd259cb281"),
     ("grid:6x6", 1, 200, 1, 50, 71,
      "497403abe31368e7d78706124c7329165762d6e56783459b543d2c54b7f57e5e"),
-], ids=["q54-sycamore", "grid-10x10", "q20-tokyo-stall-1", "grid-6x6-stall-1"])
+    ("grid:20x20", 1, 2000, None, None, 3,
+     "57cdc98b78b191893126b779c152a9ce23903ffb29bcb7c790e3fe472e6b2387"),
+], ids=["q54-sycamore", "grid-10x10", "q20-tokyo-stall-1", "grid-6x6-stall-1", "grid-20x20"])
 def test_large_device_golden_route(tune_router, device, seed, gates, stall_limit, swap_cap,
                                    stalls, digest):
     tune_router(stall_limit=stall_limit, swap_cap=swap_cap)

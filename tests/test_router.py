@@ -20,7 +20,7 @@ from codar_router import (
     validate,
 )
 from codar_router.router import (InvalidCircuitError, LockViolationError, RouterError,
-                                 ScheduledGate, _SwapSearch, launch, weighted_depth)
+                                 ScheduledGate, _SwapSearch, launch)
 from codar_router.verify import replay_schedule, verify_equivalence
 
 from oracles import candidate_swaps_reference, compliance_violations, heuristic_priority
@@ -94,7 +94,7 @@ def test_launch_sets_locks(square4):
     assert locks[1] == 1
     launch(Gate(GateKind.CX, (0, 2)), 0, locks, items, square4)
     assert locks[0] == 2 and locks[2] == 2
-    assert weighted_depth(items) == 2
+    assert max(it.end for it in items) == 2
 
 
 def test_launch_on_busy_qubit_raises(square4):
@@ -168,6 +168,12 @@ def test_too_many_qubits(square4):
         route(Circuit(6).cx(0, 5), square4)
     with pytest.raises(TooManyQubitsError):
         initial_mapping(Circuit(6).cx(0, 5), square4, "reverse_pass")
+
+
+def test_identity_start_refuses_too_many_qubits(square4):
+    # The identity start runs no check of the circuit; the mapping refuses it.
+    with pytest.raises(TooManyQubitsError):
+        initial_mapping(Circuit(6).cx(0, 5), square4, "identity")
 
 
 @pytest.mark.parametrize("circuit", [

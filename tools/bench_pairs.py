@@ -13,9 +13,11 @@ the parent first, odd pairs the change.  Each side writes its bytecode under
 its own fresh ``PYTHONPYCACHEPREFIX`` in the temporary directory, so neither
 starts from bytecode that the other lacks.  Every result line goes into the
 ``--out`` file, relative to the repository root, with each end-to-end
-metric's median, quartiles and per-pair win count.  The file keeps one series
-per workload and seed, so runs at another seed are added next to the earlier
-ones and a rerun replaces its own series.
+metric's median, quartiles, per-pair win count and whether the change's
+median stays within the metric's ``BENCHMARK.json`` bound; the same verdicts
+are printed, one line per metric.  The file keeps one series per workload
+and seed, so runs at another seed are added next to the earlier ones and a
+rerun replaces its own series.
 """
 from __future__ import annotations
 
@@ -40,13 +42,22 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+def within_bound(parent: float, change: float, better: str, bound: float) -> bool:
+    """Is ``change`` worse than ``parent`` by at most ``bound``, a fraction of ``parent``?"""
+    if better == "higher":
+        return change >= parent * (1 - bound)
+    return change <= parent * (1 + bound)
+
+
+def summarize(runs: list[dict], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> dict:
     """Per metric: both sides' median and quartiles, and who won each pair.
 
     ``runs`` holds ``{"pair": i, "side": "parent" | "change", "metrics":
     {name: {"value": v, ...}}}`` records; ``better`` maps each metric to
     ``"higher"`` or ``"lower"``.  A pair whose two values are equal counts
-    for neither side.
+    for neither side.  With ``bounds``, each metric also gets its ``bound``
+    and whether the change's median is :func:`within_bound` of the parent's.
     """
     values: dict[str, dict[int, dict[str, float]]] = {}
     for run in runs:
@@ -58,14 +69,28 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
         if not pairs:
             continue
         sign = 1 if better[name] == "higher" else -1
-        summary[name] = {
+        entry = summary[name] = {
             "better": better[name],
             "pairs": len(pairs),
             **{side: quartiles([p[side] for p in pairs]) for side in SIDES},
             "change_wins": sum(sign * (p["change"] - p["parent"]) > 0 for p in pairs),
             "parent_wins": sum(sign * (p["parent"] - p["change"]) > 0 for p in pairs),
         }
+        if bounds is not None:
+            entry["bound"] = bounds[name]
+            entry["within_bound"] = within_bound(entry["parent"]["median"],
+                                                 entry["change"]["median"],
+                                                 better[name], bounds[name])
     return summary
+
+
+def report_line(name: str, entry: dict) -> str:
+    """One metric of a summary made with bounds, as one printed line."""
+    verdict = "within" if entry["within_bound"] else "OUTSIDE"
+    return (f"{name} ({entry['better']} is better): parent {entry['parent']['median']:.6g}, "
+            f"change {entry['change']['median']:.6g}; change won {entry['change_wins']} "
+            f"and parent {entry['parent_wins']} of {entry['pairs']} pairs; "
+            f"{verdict} its {entry['bound']:.0%} bound")
 
 
 def run_benchmark(tree: Path, workload: str, seed: int, seconds: float,
@@ -106,6 +131,7 @@ def main(argv=None) -> int:
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         parent_tree = Path(tmp) / "parent"
@@ -130,13 +156,14 @@ def main(argv=None) -> int:
         "parent": commit,
         "workload": args.workload,
         "seed": args.seed,
-        "summary": summarize(runs, better),
+        "summary": summarize(runs, better, bounds),
         "runs": runs,
     }
     doc["series"] = [s for s in doc["series"]
                      if (s["workload"], s["seed"]) != (args.workload, args.seed)] + [series]
     out.write_text(json.dumps(doc, indent=1) + "\n")
-    print(json.dumps(series["summary"].get("compile_gates_per_s"), indent=1))
+    for name, entry in series["summary"].items():
+        print(report_line(name, entry))
     return 0 if all(run["correct"] and not run["failed"] for run in runs) else 1
 
 
