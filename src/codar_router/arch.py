@@ -125,15 +125,7 @@ class Architecture:
 
     @property
     def diameter(self) -> int:
-        # Kept as ``CouplingGraph.adjacency`` keeps its lists.  A
-        # ``functools.cached_property`` would build the instance ``__dict__``,
-        # which makes every later attribute read of the device about three
-        # times slower on CPython 3.11.
-        cached = getattr(self, "_diameter", None)
-        if cached is None:
-            cached = max(max(row) for row in self.distances)
-            object.__setattr__(self, "_diameter", cached)
-        return cached
+        return max(max(row) for row in self.distances)
 
 
 def duration_of(arch: Architecture, kind: GateKind) -> int:

@@ -20,6 +20,10 @@ def run(pair: int, side: str, **metrics) -> dict:
             "metrics": {name: {"value": value, "unit": "x"} for name, value in metrics.items()}}
 
 
+def end_to_end(bound: float = 0.25, **better: str) -> dict:
+    return {name: {"better": direction, "bound": bound} for name, direction in better.items()}
+
+
 def test_summary_counts_wins_by_direction_and_ties_for_neither():
     runs = [
         run(0, "parent", rate=100, ms=5.0), run(0, "change", rate=150, ms=5.0),
@@ -27,7 +31,7 @@ def test_summary_counts_wins_by_direction_and_ties_for_neither():
         run(2, "parent", rate=120, ms=5.0), run(2, "change", rate=120, ms=7.0),
         run(3, "parent", rate=130, ms=6.0), run(3, "change", rate=170, ms=3.0),
     ]
-    summary = bench_pairs.summarize(runs, {"rate": "higher", "ms": "lower"})
+    summary = bench_pairs.summarize(runs, end_to_end(rate="higher", ms="lower"))
     assert summary["rate"]["pairs"] == 4
     assert (summary["rate"]["change_wins"], summary["rate"]["parent_wins"]) == (2, 1)
     assert (summary["ms"]["change_wins"], summary["ms"]["parent_wins"]) == (2, 1)
@@ -38,11 +42,11 @@ def test_summary_counts_wins_by_direction_and_ties_for_neither():
 
 def test_summary_skips_unpaired_runs_and_handles_one_pair():
     runs = [run(0, "parent", rate=100), run(0, "change", rate=99), run(1, "parent", rate=1)]
-    summary = bench_pairs.summarize(runs, {"rate": "higher"})
+    summary = bench_pairs.summarize(runs, end_to_end(rate="higher"))
     assert summary["rate"]["pairs"] == 1
     assert summary["rate"]["parent"] == {"median": 100, "q1": 100, "q3": 100}
     assert (summary["rate"]["change_wins"], summary["rate"]["parent_wins"]) == (0, 1)
-    assert bench_pairs.summarize([run(0, "parent", rate=1)], {"rate": "higher"}) == {}
+    assert bench_pairs.summarize([run(0, "parent", rate=1)], end_to_end(rate="higher")) == {}
 
 
 def test_summary_judges_each_metric_against_its_bound_in_its_direction():
@@ -50,8 +54,8 @@ def test_summary_judges_each_metric_against_its_bound_in_its_direction():
     # 10.  Outside it: a rate down to 70, a time up to 13.
     runs = [run(0, "parent", rate_in=100, rate_out=100, ms_in=10, ms_out=10),
             run(0, "change", rate_in=80, rate_out=70, ms_in=12, ms_out=13)]
-    better = {"rate_in": "higher", "rate_out": "higher", "ms_in": "lower", "ms_out": "lower"}
-    summary = bench_pairs.summarize(runs, better, dict.fromkeys(better, 0.25))
+    summary = bench_pairs.summarize(runs, end_to_end(rate_in="higher", rate_out="higher",
+                                                  ms_in="lower", ms_out="lower"))
     assert {name: entry["within_bound"] for name, entry in summary.items()} == {
         "rate_in": True, "rate_out": False, "ms_in": True, "ms_out": False}
     assert summary["ms_out"]["bound"] == 0.25

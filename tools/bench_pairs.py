@@ -49,15 +49,15 @@ def within_bound(parent: float, change: float, better: str, bound: float) -> boo
     return change <= parent * (1 + bound)
 
 
-def summarize(runs: list[dict], better: dict[str, str],
-              bounds: dict[str, float] | None = None) -> dict:
-    """Per metric: both sides' median and quartiles, and who won each pair.
+def summarize(runs: list[dict], metrics: dict[str, dict]) -> dict:
+    """Per metric: both sides' median and quartiles, who won each pair, and
+    whether the change's median is :func:`within_bound` of the parent's.
 
     ``runs`` holds ``{"pair": i, "side": "parent" | "change", "metrics":
-    {name: {"value": v, ...}}}`` records; ``better`` maps each metric to
-    ``"higher"`` or ``"lower"``.  A pair whose two values are equal counts
-    for neither side.  With ``bounds``, each metric also gets its ``bound``
-    and whether the change's median is :func:`within_bound` of the parent's.
+    {name: {"value": v, ...}}}`` records; ``metrics`` maps each metric's name
+    to its ``BENCHMARK.json`` entry, of which ``better`` (``"higher"`` or
+    ``"lower"``) and ``bound`` are read.  A pair whose two values are equal
+    counts for neither side.
     """
     values: dict[str, dict[int, dict[str, float]]] = {}
     for run in runs:
@@ -68,24 +68,24 @@ def summarize(runs: list[dict], better: dict[str, str],
         pairs = [v for _, v in sorted(values[name].items()) if len(v) == 2]
         if not pairs:
             continue
-        sign = 1 if better[name] == "higher" else -1
-        entry = summary[name] = {
-            "better": better[name],
+        better, bound = metrics[name]["better"], metrics[name]["bound"]
+        sign = 1 if better == "higher" else -1
+        stats = {side: quartiles([p[side] for p in pairs]) for side in SIDES}
+        summary[name] = {
+            "better": better,
             "pairs": len(pairs),
-            **{side: quartiles([p[side] for p in pairs]) for side in SIDES},
+            **stats,
             "change_wins": sum(sign * (p["change"] - p["parent"]) > 0 for p in pairs),
             "parent_wins": sum(sign * (p["parent"] - p["change"]) > 0 for p in pairs),
+            "bound": bound,
+            "within_bound": within_bound(stats["parent"]["median"],
+                                         stats["change"]["median"], better, bound),
         }
-        if bounds is not None:
-            entry["bound"] = bounds[name]
-            entry["within_bound"] = within_bound(entry["parent"]["median"],
-                                                 entry["change"]["median"],
-                                                 better[name], bounds[name])
     return summary
 
 
 def report_line(name: str, entry: dict) -> str:
-    """One metric of a summary made with bounds, as one printed line."""
+    """One metric of a summary, as one printed line."""
     verdict = "within" if entry["within_bound"] else "OUTSIDE"
     return (f"{name} ({entry['better']} is better): parent {entry['parent']['median']:.6g}, "
             f"change {entry['change']['median']:.6g}; change won {entry['change_wins']} "
@@ -130,8 +130,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
-    bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
+    metrics = {m["name"]: m for m in benchmark["end_to_end"]}
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         parent_tree = Path(tmp) / "parent"
@@ -156,7 +155,7 @@ def main(argv=None) -> int:
         "parent": commit,
         "workload": args.workload,
         "seed": args.seed,
-        "summary": summarize(runs, better, bounds),
+        "summary": summarize(runs, metrics),
         "runs": runs,
     }
     doc["series"] = [s for s in doc["series"]
