@@ -32,39 +32,28 @@ class GateKind(Enum):
     # sets and dicts of (kind, role) entries and gate signatures.
     __hash__ = object.__hash__
 
-    @property
-    def arity(self) -> int | None:
-        """Operand count; None for the variadic BARRIER."""
-        if self in (GateKind.CX, GateKind.SWAP):
-            return 2
-        if self is GateKind.BARRIER:
-            return None
-        return 1
+    def __init__(self, value: str):
+        # Plain member attributes, set once: the parser, ``validate`` and the
+        # commutation keys read them for every gate.  ``arity`` is None for
+        # the variadic BARRIER.
+        self.arity = 2 if value in ("cx", "swap") else None if value == "barrier" else 1
+        self.num_params = {"rx": 1, "ry": 1, "rz": 1, "u1": 1, "u2": 2, "u3": 3}.get(value, 0)
+        self.is_unitary = value not in ("measure", "barrier")
 
-    @property
-    def num_params(self) -> int:
-        return _NUM_PARAMS.get(self, 0)
-
-    @property
-    def is_unitary(self) -> bool:
-        return self not in (GateKind.MEASURE, GateKind.BARRIER)
-
-
-_NUM_PARAMS = {
-    GateKind.RX: 1,
-    GateKind.RY: 1,
-    GateKind.RZ: 1,
-    GateKind.U1: 1,
-    GateKind.U2: 2,
-    GateKind.U3: 3,
-}
 
 TWO_QUBIT_KINDS = frozenset({GateKind.CX, GateKind.SWAP})
-_MEASURE = GateKind.MEASURE
+# Module constants spare a ``GateKind`` class lookup per gate.
+_MEASURE, _SWAP, _BARRIER = GateKind.MEASURE, GateKind.SWAP, GateKind.BARRIER
 
 
-@dataclass(frozen=True, init=False)
-class Gate:
+class _GateCaches:
+    """Slots of the caches :meth:`Gate.signature` and the commutation keys fill."""
+
+    __slots__ = ("_sig", "_keys")
+
+
+@dataclass(frozen=True, init=False, slots=True)
+class Gate(_GateCaches):
     """One gate application.
 
     ``qubits`` are logical indices in a source circuit and physical indices in
@@ -85,17 +74,25 @@ class Gate:
     def __init__(self, kind: GateKind, qubits: tuple[int, ...],
                  params: tuple[float, ...] = (), cbit: int | None = None,
                  source_line: int = 0):
-        # Fills the instance dict directly: the generated frozen ``__init__``
-        # pays an ``object.__setattr__`` call per field, and routing builds a
-        # gate per launch.  A test checks that every field is set.
+        # Sets each slot through its member descriptor: the generated frozen
+        # ``__init__`` pays an ``object.__setattr__`` call per field, and
+        # routing builds a gate per launch.  A test checks that every field
+        # is set.
         if kind is _MEASURE and cbit is None and qubits:
             cbit = qubits[0]
-        d = self.__dict__
-        d["kind"] = kind
-        d["qubits"] = qubits
-        d["params"] = params
-        d["cbit"] = cbit
-        d["source_line"] = source_line
+        _set_kind(self, kind)
+        _set_qubits(self, qubits)
+        _set_params(self, params)
+        _set_cbit(self, cbit)
+        _set_source_line(self, source_line)
+        _set_sig(self, None)
+        _set_keys(self, None)
+
+    def __reduce__(self):
+        # Copies and pickles rebuild through the constructor: the dataclass's
+        # own pickled state holds the fields only, not the cache slots.
+        return type(self), (self.kind, self.qubits, self.params, self.cbit,
+                            self.source_line)
 
     def signature(self) -> tuple:
         """Identity key ignoring provenance; equal signatures mean the same operation.
@@ -103,13 +100,13 @@ class Gate:
         Operand order carries no meaning for SWAP and BARRIER, so it is
         normalized away here.  Cached: routing scans ask repeatedly.
         """
-        sig = getattr(self, "_sig", None)
+        sig = self._sig
         if sig is None:
-            qubits = self.qubits
-            if self.kind in (GateKind.SWAP, GateKind.BARRIER):
+            kind, qubits = self.kind, self.qubits
+            if kind is _SWAP or kind is _BARRIER:
                 qubits = tuple(sorted(qubits))
-            sig = (self.kind, qubits, self.params, self.cbit)
-            object.__setattr__(self, "_sig", sig)
+            sig = (kind, qubits, self.params, self.cbit)
+            _set_sig(self, sig)
         return sig
 
     def with_qubits(self, qubits: tuple[int, ...]) -> Gate:
@@ -123,6 +120,11 @@ class Gate:
             pars = ",".join(f"{p:g}" for p in self.params)
             return f"{self.kind.value}({pars}) {args}"
         return f"{self.kind.value} {args}"
+
+
+(_set_kind, _set_qubits, _set_params, _set_cbit, _set_source_line, _set_sig,
+ _set_keys) = (getattr(Gate, name).__set__ for name in (
+     "kind", "qubits", "params", "cbit", "source_line", "_sig", "_keys"))
 
 
 @dataclass

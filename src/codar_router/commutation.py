@@ -30,10 +30,14 @@ Entry = tuple[GateKind, str]
 # Stands for a qubit with no marks yet in a scan.
 _UNMARKED = object()
 
+_CX = GateKind.CX
+# Fills a gate's ``_keys`` cache slot.
+_cache_keys = Gate._keys.__set__
+
 
 def role_of(gate: Gate, position: int) -> str:
     """Role the operand at ``position`` plays inside ``gate``."""
-    if gate.kind is GateKind.CX:
+    if gate.kind is _CX:
         return ROLE_CONTROL if position == 0 else ROLE_TARGET
     return ROLE_SINGLE
 
@@ -68,7 +72,7 @@ def _keys(gate: Gate) -> tuple[tuple[int, object], ...]:
     own = gate.signature() if gate.kind.is_unitary else None
     keys = tuple((q, _FAMILY_OF.get((gate.kind, role_of(gate, pos)), own))
                  for pos, q in enumerate(gate.qubits))
-    object.__setattr__(gate, "_keys", keys)
+    _cache_keys(gate, keys)
     return keys
 
 
@@ -79,8 +83,8 @@ def commutes(a: Gate, b: Gate) -> bool:
     themselves; BARRIER and MEASURE commute with nothing they touch.  The
     result is symmetric in its arguments and errs toward False.
     """
-    keys_b = dict(getattr(b, "_keys", None) or _keys(b))
-    for q, key in getattr(a, "_keys", None) or _keys(a):
+    keys_b = dict(b._keys or _keys(b))
+    for q, key in a._keys or _keys(a):
         if q in keys_b and (key is None or key != keys_b[q]):
             return False
     return True
@@ -99,7 +103,7 @@ def cf_front(gates) -> set[int]:
     kept: dict[int, object] = {}
     for k, gate in enumerate(gates):
         passes = True
-        for q, key in getattr(gate, "_keys", None) or _keys(gate):
+        for q, key in gate._keys or _keys(gate):
             held = kept.get(q, _UNMARKED)
             if held is _UNMARKED:
                 kept[q] = key
@@ -144,7 +148,7 @@ class LaneFrontier:
         tail: dict[int, list[int]] = {}
         shared: dict[int, object] = {}
         for i, gate in enumerate(gates):
-            for q, key in getattr(gate, "_keys", None) or _keys(gate):
+            for q, key in gate._keys or _keys(gate):
                 run = tail.get(q)
                 if run and run[-1] == i:
                     continue  # the gate repeats the operand

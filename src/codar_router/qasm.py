@@ -61,6 +61,10 @@ class MultipleQregError(QasmError):
 
 _GATE_NAMES = {kind.value: kind for kind in GateKind
                if kind not in (GateKind.MEASURE, GateKind.BARRIER)}
+# Per-gate reads of module constants and a plain dict, in place of ``GateKind``
+# class lookups and the ``Enum.value`` property.
+_QASM_NAME = {kind: kind.value for kind in GateKind}
+_MEASURE, _BARRIER, _SWAP = GateKind.MEASURE, GateKind.BARRIER, GateKind.SWAP
 
 # The whole token grammar of a line, tried at each position in this order.  A
 # comment or whitespace makes no token; ``\s`` is exactly ``str.isspace``.  A
@@ -470,15 +474,16 @@ def emit_program(circuit: Circuit, decompose_swap: bool = False) -> str:
     if n_clbits > 0:
         lines.append(f"creg {c}[{n_clbits}];")
     for gate in circuit.gates:
-        if gate.kind is GateKind.MEASURE:
+        kind = gate.kind
+        if kind is _MEASURE:
             lines.append(f"measure {q}[{gate.qubits[0]}] -> {c}[{gate.cbit}];")
-        elif gate.kind is GateKind.BARRIER:
+        elif kind is _BARRIER:
             if set(gate.qubits) == set(range(circuit.num_qubits)):
                 lines.append(f"barrier {q};")
             else:
                 ops = ",".join(f"{q}[{i}]" for i in gate.qubits)
                 lines.append(f"barrier {ops};")
-        elif gate.kind is GateKind.SWAP and decompose_swap:
+        elif kind is _SWAP and decompose_swap:
             a, b = gate.qubits
             lines.append(f"cx {q}[{a}],{q}[{b}];")
             lines.append(f"cx {q}[{b}],{q}[{a}];")
@@ -487,9 +492,9 @@ def emit_program(circuit: Circuit, decompose_swap: bool = False) -> str:
             ops = ",".join([f"{q}[{i}]" for i in gate.qubits])
             if gate.params:
                 pars = ",".join(_format_param(p) for p in gate.params)
-                lines.append(f"{gate.kind.value}({pars}) {ops};")
+                lines.append(f"{_QASM_NAME[kind]}({pars}) {ops};")
             else:
-                lines.append(f"{gate.kind.value} {ops};")
+                lines.append(f"{_QASM_NAME[kind]} {ops};")
     return "\n".join(lines) + "\n"
 
 
@@ -515,24 +520,25 @@ def validate(circuit: Circuit, arch_qubits: int) -> list[Diagnostic]:
             "TooManyQubits",
             f"circuit uses {circuit.num_qubits} qubits but architecture has {arch_qubits}"))
     for i, gate in enumerate(circuit.gates):
-        arity = gate.kind.arity
+        kind = gate.kind
+        arity = kind.arity
         if arity is not None and len(gate.qubits) != arity:
             out.append(Diagnostic(
-                "BadArity", f"{gate.kind.value} takes {arity} qubit(s), got {len(gate.qubits)}", i))
+                "BadArity", f"{kind.value} takes {arity} qubit(s), got {len(gate.qubits)}", i))
         if len(set(gate.qubits)) != len(gate.qubits):
             out.append(Diagnostic("DuplicateOperand", f"{gate} repeats an operand", i))
         if any(q < 0 or q >= circuit.num_qubits for q in gate.qubits):
             out.append(Diagnostic(
                 "QubitOutOfRange", f"{gate} indexes outside q[{circuit.num_qubits}]", i))
-        if len(gate.params) != gate.kind.num_params:
+        if len(gate.params) != kind.num_params:
             out.append(Diagnostic(
                 "BadParams",
-                f"{gate.kind.value} takes {gate.kind.num_params} parameter(s), got {len(gate.params)}",
+                f"{kind.value} takes {kind.num_params} parameter(s), got {len(gate.params)}",
                 i))
         if not all(map(math.isfinite, gate.params)):
             out.append(Diagnostic(
-                "BadParams", f"{gate.kind.value} parameter is not a finite number", i))
-        if gate.kind is GateKind.MEASURE and gate.cbit is not None:
+                "BadParams", f"{kind.value} parameter is not a finite number", i))
+        if kind is _MEASURE and gate.cbit is not None:
             if gate.cbit < 0:
                 out.append(Diagnostic("BadParams", "negative classical bit", i))
             elif circuit.num_clbits and gate.cbit >= circuit.num_clbits:

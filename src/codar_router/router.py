@@ -17,6 +17,8 @@ from .circuit import Circuit, Gate, GateKind, TWO_QUBIT_KINDS
 from .commutation import LaneFrontier
 from .qasm import Diagnostic, validate
 
+_SWAP = GateKind.SWAP
+
 
 class RouterError(ValueError):
     pass
@@ -94,7 +96,7 @@ class Mapping:
         return f"Mapping({self.forward}, {self.num_physical})"
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class ScheduledGate:
     """One issued gate: physical operands plus its time slot.
 
@@ -111,18 +113,23 @@ class ScheduledGate:
 
     def __init__(self, gate: Gate, start: int, duration: int, true_duration: int,
                  inserted: bool = False):
-        # Fills the instance dict directly, as ``Gate.__init__`` does: one
-        # record is built per launch.  A test checks that every field is set.
-        d = self.__dict__
-        d["gate"] = gate
-        d["start"] = start
-        d["duration"] = duration
-        d["true_duration"] = true_duration
-        d["inserted"] = inserted
+        # Sets each slot through its member descriptor, as ``Gate.__init__``
+        # does: one record is built per launch.  A test checks that every
+        # field is set.
+        _set_gate(self, gate)
+        _set_start(self, start)
+        _set_duration(self, duration)
+        _set_true_duration(self, true_duration)
+        _set_inserted(self, inserted)
 
     @property
     def end(self) -> int:
         return self.start + self.duration
+
+
+_set_gate, _set_start, _set_duration, _set_true_duration, _set_inserted = (
+    getattr(ScheduledGate, name).__set__
+    for name in ("gate", "start", "duration", "true_duration", "inserted"))
 
 
 @dataclass
@@ -401,7 +408,7 @@ class _Router:
         self.swap_cap = 8 * (len(circuit.gates) + 4) * (arch.diameter + 2) + 64
         # Blocked cycles with no launch or SWAP before the oldest blocked gate
         # is forced: as many as one SWAP takes.
-        self.stall_limit = max(1, duration_of(arch, GateKind.SWAP))
+        self.stall_limit = max(1, duration_of(arch, _SWAP))
 
     # launch phase --------------------------------------------------------
     def _launch_ready(self) -> bool:
@@ -449,7 +456,7 @@ class _Router:
 
     # swap phase ----------------------------------------------------------
     def _launch_swap(self, edge: tuple[int, int]) -> None:
-        self._issue(Gate(GateKind.SWAP, edge), inserted=True)
+        self._issue(Gate(_SWAP, edge), inserted=True)
         self.n_swaps += 1
         self.search.swap(*edge)
 

@@ -26,6 +26,8 @@ from .router import Mapping, Schedule, ScheduledGate
 ORACLE_QUBIT_LIMIT = 10
 ORACLE_TOL = 1e-9
 
+_SWAP = GateKind.SWAP
+
 
 class OracleLimitError(ValueError):
     """The statevector oracle cannot run on this instance."""
@@ -170,7 +172,7 @@ def replay_schedule(items: list[ScheduledGate], init: Mapping) -> ReplayResult:
             violations.append(f"{gate} acts on a qubit outside the device")
             continue
         if item.inserted:
-            if gate.kind is not GateKind.SWAP:
+            if gate.kind is not _SWAP:
                 violations.append(f"inserted non-SWAP gate {gate}")
                 continue
             mapping.swap(*gate.qubits)

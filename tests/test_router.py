@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import hashlib
+import pickle
 
 import pytest
 
@@ -12,6 +14,7 @@ from codar_router import (
     Mapping,
     RouterConfig,
     TooManyQubitsError,
+    commutes,
     emit_program,
     grid_architecture,
     initial_mapping,
@@ -402,6 +405,50 @@ def test_with_qubits_keeps_every_other_field():
     # A measure built without a bit writes its own qubit's, also once moved.
     assert Gate(GateKind.MEASURE, (3,)) == Gate(GateKind.MEASURE, (3,), cbit=3)
     assert Gate(GateKind.MEASURE, (3,)).with_qubits((5,)).cbit == 3
+
+
+@pytest.mark.parametrize("duplicate", [
+    copy.copy, copy.deepcopy, lambda record: pickle.loads(pickle.dumps(record))],
+    ids=["copy", "deepcopy", "pickle"])
+def test_copies_of_records_keep_fields_and_refill_caches(duplicate):
+    gates = [Gate(GateKind.CX, (0, 1)), Gate(GateKind.U1, (0,), (0.5,)),
+             Gate(GateKind.H, (1,)), Gate(GateKind.SWAP, (1, 0)),
+             Gate(GateKind.MEASURE, (0,), source_line=4)]
+    # Fill both caches first, so a copy that carried them half-way shows.
+    signatures = [g.signature() for g in gates]
+    table = [[commutes(a, b) for b in gates] for a in gates]
+    copies = [duplicate(g) for g in gates]
+    for g, c in zip(gates, copies):
+        assert c == g and hash(c) == hash(g) and repr(c) == repr(g)
+    assert [c.signature() for c in copies] == signatures
+    assert [[commutes(a, b) for b in gates] for a in copies] == table
+    assert [[commutes(a, b) for b in copies] for a in copies] == table
+    item = ScheduledGate(gates[0], 4, 2, 2, True)
+    copied = duplicate(item)
+    assert copied == item and hash(copied) == hash(item) and repr(copied) == repr(item)
+    assert copied.gate.signature() == signatures[0]
+    assert [commutes(copied.gate, b) for b in gates] == table[0]
+
+
+def test_records_have_no_instance_dict():
+    gate = Gate(GateKind.CX, (0, 1))
+    gate.signature()
+    commutes(gate, gate)
+    for record in (gate, ScheduledGate(gate, 0, 2, 2)):
+        assert not hasattr(record, "__dict__")
+
+
+def test_gate_kind_table():
+    # name: (arity, num_params, is_unitary)
+    table = {
+        "H": (1, 0, True), "X": (1, 0, True), "Y": (1, 0, True), "Z": (1, 0, True),
+        "S": (1, 0, True), "SDG": (1, 0, True), "T": (1, 0, True), "TDG": (1, 0, True),
+        "RX": (1, 1, True), "RY": (1, 1, True), "RZ": (1, 1, True), "U1": (1, 1, True),
+        "U2": (1, 2, True), "U3": (1, 3, True), "CX": (2, 0, True), "SWAP": (2, 0, True),
+        "MEASURE": (1, 0, False), "BARRIER": (None, 0, False),
+    }
+    assert {kind.name: (kind.arity, kind.num_params, kind.is_unitary)
+            for kind in GateKind} == table
 
 
 def test_lock_exclusivity_and_coupling(square4, corpus_dir):
