@@ -8,25 +8,34 @@ programs from one seeded random input state and compares the outputs up to
 global phase.  Its kernel works on a flat state vector: CX and SWAP are index
 permutations, diagonal one-qubit gates multiply amplitudes in place, and
 other one-qubit gates are one matmul over the qubit's axis.
+
+numpy is imported inside the functions that use it, so importing the package,
+routing and the dependency check never load it: the oracle's first run does.
 """
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import random
 from collections import defaultdict
 from dataclasses import asdict, dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .circuit import Circuit, Gate, GateKind
 from .commutation import LaneFrontier, commutes
 from .router import Mapping, Schedule, ScheduledGate
 
+if TYPE_CHECKING:
+    import numpy as np
+
 ORACLE_QUBIT_LIMIT = 10
 ORACLE_TOL = 1e-9
 
-_SWAP = GateKind.SWAP
+# Module constants spare a ``GateKind`` class lookup per gate.
+_CX, _SWAP, _BARRIER, _MEASURE = GateKind.CX, GateKind.SWAP, GateKind.BARRIER, GateKind.MEASURE
+_RX, _RY, _RZ, _U1, _U2, _U3 = (GateKind.RX, GateKind.RY, GateKind.RZ,
+                                GateKind.U1, GateKind.U2, GateKind.U3)
 
 
 class OracleLimitError(ValueError):
@@ -36,13 +45,23 @@ class OracleLimitError(ValueError):
 # --- gate matrices -------------------------------------------------------
 
 _SQ2 = 1 / math.sqrt(2)
+# Plain tuples, built without numpy; :func:`_fixed_matrix` makes each an array
+# once per process.
 _FIXED_1Q = {
-    GateKind.H: np.array([[1, 1], [1, -1]], dtype=complex) * _SQ2,
-    GateKind.X: np.array([[0, 1], [1, 0]], dtype=complex),
-    GateKind.Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
+    GateKind.H: ((_SQ2, _SQ2), (_SQ2, -_SQ2)),
+    GateKind.X: ((0, 1), (1, 0)),
+    GateKind.Y: ((0, -1j), (1j, 0)),
 }
 
+
+@functools.cache
+def _fixed_matrix(kind: GateKind) -> np.ndarray:
+    import numpy as np
+    return np.array(_FIXED_1Q[kind], dtype=complex)
+
+
 def _u3(theta: float, phi: float, lam: float) -> np.ndarray:
+    import numpy as np
     c, s = math.cos(theta / 2), math.sin(theta / 2)
     return np.array([
         [c, -cmath.exp(1j * lam) * s],
@@ -57,19 +76,20 @@ def gate_matrix(gate: Gate) -> np.ndarray:
     """
     kind, p = gate.kind, gate.params
     if kind in _FIXED_1Q:
-        return _FIXED_1Q[kind]
-    if kind is GateKind.RX:
+        return _fixed_matrix(kind)
+    import numpy as np
+    if kind is _RX:
         c, s = math.cos(p[0] / 2), math.sin(p[0] / 2)
         return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-    if kind is GateKind.RY:
+    if kind is _RY:
         c, s = math.cos(p[0] / 2), math.sin(p[0] / 2)
         return np.array([[c, -s], [s, c]], dtype=complex)
-    if kind is GateKind.RZ:
+    if kind is _RZ:
         return np.array([[cmath.exp(-1j * p[0] / 2), 0],
                          [0, cmath.exp(1j * p[0] / 2)]], dtype=complex)
-    if kind is GateKind.U2:
+    if kind is _U2:
         return _u3(math.pi / 2, p[0], p[1])
-    if kind is GateKind.U3:
+    if kind is _U3:
         return _u3(p[0], p[1], p[2])
     raise ValueError(f"{kind.value} is not a one-qubit unitary")
 
@@ -95,9 +115,10 @@ def _permutation(gate: Gate, num_qubits: int) -> np.ndarray:
     Both gates permute the basis and are their own inverse, so the array
     that scatters the amplitudes also gathers them.
     """
+    import numpy as np
     index = np.arange(1 << num_qubits)
     a, b = (num_qubits - 1 - q for q in gate.qubits)
-    if gate.kind is GateKind.CX:
+    if gate.kind is _CX:
         return index ^ (((index >> a) & 1) << b)
     differ = ((index >> a) ^ (index >> b)) & 1
     return index ^ (differ << a) ^ (differ << b)
@@ -111,23 +132,24 @@ def simulate_gates(gates, num_qubits: int, start: np.ndarray) -> np.ndarray:
     the |1> half of its qubit in place, and any other one-qubit gate is a
     matmul over its qubit's axis.  Barriers and measurements are skipped.
     """
+    import numpy as np
     state = np.array(start, dtype=complex)  # a copy: phases are applied in place
     if state.shape != (1 << num_qubits,):
         raise ValueError(f"start state has shape {state.shape}, expected ({1 << num_qubits},)")
     perms: dict[tuple, np.ndarray] = {}
     for gate in gates:
         kind = gate.kind
-        if kind is GateKind.CX or kind is GateKind.SWAP:
+        if kind is _CX or kind is _SWAP:
             key = (kind, gate.qubits)
             perm = perms.get(key)
             if perm is None:
                 perm = perms[key] = _permutation(gate, num_qubits)
             state = state[perm]
-        elif kind is GateKind.BARRIER or kind is GateKind.MEASURE:
+        elif kind is _BARRIER or kind is _MEASURE:
             continue
         else:
             view = state.reshape(1 << gate.qubits[0], 2, -1)
-            if kind is GateKind.U1:
+            if kind is _U1:
                 view[:, 1] *= cmath.exp(1j * gate.params[0])
             elif kind in _PHASES:
                 view[:, 1] *= _PHASES[kind]
@@ -138,6 +160,7 @@ def simulate_gates(gates, num_qubits: int, start: np.ndarray) -> np.ndarray:
 
 def states_close(a: np.ndarray, b: np.ndarray) -> tuple[bool, float]:
     """Global-phase-insensitive comparison; returns (equal, max amplitude error)."""
+    import numpy as np
     overlap = np.vdot(b, a)
     phase = overlap / abs(overlap) if abs(overlap) > 1e-15 else 1.0
     err = float(np.max(np.abs(a - phase * b))) if a.size else 0.0
@@ -261,11 +284,11 @@ def _check_terminal_measures(gates: list[Gate]) -> None:
     """Raise :class:`OracleLimitError` if a non-barrier gate follows a measure on its qubit."""
     last_touch: dict[int, int] = {}
     for i, gate in enumerate(gates):
-        for q in gate.qubits:
-            if gate.kind is not GateKind.BARRIER:
+        if gate.kind is not _BARRIER:
+            for q in gate.qubits:
                 last_touch[q] = i
     for i, gate in enumerate(gates):
-        if gate.kind is GateKind.MEASURE and last_touch.get(gate.qubits[0]) != i:
+        if gate.kind is _MEASURE and last_touch.get(gate.qubits[0]) != i:
             raise OracleLimitError("mid-circuit measurement is outside the oracle's scope")
 
 
@@ -289,6 +312,7 @@ def statevector_oracle(original: Circuit, schedule: Schedule) -> tuple[bool, flo
         return False, float("inf")
     _check_terminal_measures(original.gates)
     _check_terminal_measures(replay.logical_gates)
+    import numpy as np
     # Uniform random real and imaginary parts, from the standard library's
     # generator: ``np.random`` would add its extension modules to every
     # process that verifies.
