@@ -3,16 +3,19 @@
 A gate is commutative-forward within a pending sequence when it commutes with
 every gate before it, which makes it instantly issuable from the software
 point of view even though it is not at the head of the program.
-:func:`cf_front` finds the CF gates of a list in one pass;
-:class:`LaneFrontier` keeps them for a list that loses its front gates, from
-per-qubit runs of commuting gates found once up front.
+:class:`LaneFrontier` is the one CF test: it finds the CF gates of a list, and
+keeps them as the list loses its front gates, from per-qubit runs of commuting
+gates found once up front.  :func:`cf_front` is the front of a fresh frontier
+over a list, and :func:`commutes` asks whether the second of two gates is in
+the front of the pair.
 
 Commutation on a shared qubit is decided by one key per operand.  The key is
 the family of the operand's (gate kind, operand role) entry when it has one:
 diagonal, X-axis or Y-axis.  Otherwise it is the gate's signature for a
 unitary gate, so only an exact repeat matches it, and ``None`` for MEASURE and
 BARRIER, which match nothing.  Two gates commute on a qubit exactly when their
-keys there are equal and not ``None``.  The rule is deliberately sound rather
+keys there are equal and not ``None``; a gate that names a qubit twice is
+judged by its first operand there.  The rule is deliberately sound rather
 than complete: a missing pair only costs look-ahead, while a wrong one would
 corrupt program semantics, so every same-family pair must survive a
 dense-matrix commutator check; the tests run one.
@@ -26,9 +29,6 @@ ROLE_CONTROL = "cx_control"
 ROLE_TARGET = "cx_target"
 
 Entry = tuple[GateKind, str]
-
-# Stands for a qubit with no marks yet in a scan.
-_UNMARKED = object()
 
 _CX = GateKind.CX
 # Fills a gate's ``_keys`` cache slot.
@@ -79,40 +79,17 @@ def _keys(gate: Gate) -> tuple[tuple[int, object], ...]:
 def commutes(a: Gate, b: Gate) -> bool:
     """True when the two gates' keys are equal and not ``None`` on every shared qubit.
 
-    Disjoint-qubit gates always commute; identical unitary gates commute with
-    themselves; BARRIER and MEASURE commute with nothing they touch.  The
-    result is symmetric in its arguments and errs toward False.
+    That is, ``b`` is in the CF front of ``[a, b]``.  Disjoint-qubit gates
+    always commute; identical unitary gates commute with themselves; BARRIER
+    and MEASURE commute with nothing they touch.  The result is symmetric in
+    its arguments and errs toward False.
     """
-    keys_b = dict(b._keys or _keys(b))
-    for q, key in a._keys or _keys(a):
-        if q in keys_b and (key is None or key != keys_b[q]):
-            return False
-    return True
+    return 1 in LaneFrontier((a, b)).front
 
 
 def cf_front(gates) -> set[int]:
-    """Indices of gates commuting with everything before them in the list.
-
-    One linear pass over the gates' cached keys.  Each qubit keeps the key
-    that all its marks share, or ``None`` once two keys differ or one is
-    ``None``.  A gate passes a qubit when the qubit has no marks yet, or when
-    its key there is not ``None`` and equals the kept key; it is CF when it
-    passes all its qubits.
-    """
-    front: set[int] = set()
-    kept: dict[int, object] = {}
-    for k, gate in enumerate(gates):
-        passes = True
-        for q, key in gate._keys or _keys(gate):
-            held = kept.get(q, _UNMARKED)
-            if held is _UNMARKED:
-                kept[q] = key
-            elif key is None or held != key:
-                kept[q] = None
-                passes = False
-        if passes:
-            front.add(k)
-    return front
+    """Indices of gates commuting with everything before them in the list."""
+    return LaneFrontier(gates).front
 
 
 class LaneFrontier:
@@ -123,10 +100,9 @@ class LaneFrontier:
     each qubit it touches, it does so within that qubit's lane, so a gate is
     in the front when every one of its lanes' fronts holds it.
 
-    For the gates :func:`~codar_router.qasm.validate` accepts, a lane's front,
-    ``cf_front(lane)``, is a *run*: the gates from the lane's head
-    whose key on the lane's qubit equals the head's, or the head alone when
-    its key is ``None``.  A lane only ever loses its whole head run, so the
+    A lane's own CF front is a *run*: the gates from the lane's head whose key
+    on the lane's qubit equals the head's, or the head alone when its key is
+    ``None``.  A lane only ever loses its whole head run, so the
     constructor splits every lane into its runs once, in one pass over the
     gates' keys.  With ``commutative=False`` every gate is a run of its own:
     the front is then the gates with no predecessor on any of their qubits.

@@ -63,6 +63,12 @@ def test_route_missing_input_exits_one(tmp_path):
     assert info.value.code == f"error: input file {missing} does not exist"
 
 
+def test_route_input_directory_exits_one(tmp_path):
+    with pytest.raises(SystemExit) as info:
+        main(["route", "--arch", "square4", "--input", str(tmp_path)])
+    assert info.value.code == f"error: cannot read {tmp_path}: Is a directory"
+
+
 def test_route_parse_error_exits_one(tmp_path):
     bad = tmp_path / "bad.qasm"
     bad.write_text("OPENQASM 2.0; qreg q[2]; frobnicate q[0];", encoding="utf-8")
@@ -122,8 +128,14 @@ def test_route_valid_arch_config_exits_zero(golden_file, tmp_path):
     [SQUARE4],
     dict(SQUARE4, edges=[["a", 1]]),
     dict(SQUARE4, durations=[6]),
+    {k: v for k, v in SQUARE4.items() if k != "num_qubits"},
+    {k: v for k, v in SQUARE4.items() if k != "edges"},
+    dict(SQUARE4, num_qubits=0),
+    dict(SQUARE4, edges="0-1 0-2 1-3 2-3"),
+    dict(SQUARE4, durations={"cx": 2, "swap": 6, "ccx": 4}),
 ], ids=["num-qubits-text", "one-ended-edge", "top-level-list", "text-qubit",
-        "durations-list"])
+        "durations-list", "no-num-qubits", "no-edges", "zero-qubits", "edges-text",
+        "unknown-duration-kind"])
 def test_route_malformed_arch_config_exits_one_without_traceback(config, golden_file, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(config), encoding="utf-8")

@@ -11,6 +11,7 @@ from codar_router.commutation import (
 
 from oracles import (
     cf_front_bruteforce,
+    cf_front_reference,
     commutes_reference,
     no_predecessor_front_reference,
     random_unitary_gate,
@@ -59,11 +60,28 @@ def test_measure_commutes_with_nothing_on_its_qubit():
 
 
 def test_commutes_symmetric_on_fixture_pairs():
+    # Repeated operands included: the public API accepts gates that
+    # ``validate`` would refuse, such as ``cx q[0],q[0]``.
     gates = [T(0), H(0), CX(0, 1), CX(1, 0), CX(0, 2), Gate(GateKind.RZ, (1,), (0.9,)),
-             Gate(GateKind.SWAP, (0, 1)), Gate(GateKind.X, (1,))]
+             Gate(GateKind.SWAP, (0, 1)), Gate(GateKind.X, (1,)), Gate(GateKind.X, (0,)),
+             CX(0, 0), CX(1, 1), Gate(GateKind.SWAP, (0, 0)),
+             Gate(GateKind.BARRIER, (0, 0)), Gate(GateKind.BARRIER, (1, 0, 1))]
     for a in gates:
         for b in gates:
-            assert commutes(a, b) == commutes(b, a)
+            assert commutes(a, b) == commutes(b, a), (str(a), str(b))
+
+
+def test_every_one_gate_list_is_its_own_front():
+    gates = []
+    for kind in GateKind:
+        if kind is GateKind.MEASURE:
+            gates += [Gate(kind, (q,), cbit=q) for q in (0, 1)]
+        elif kind.arity == 1:
+            gates += [Gate(kind, (q,), (0.37,) * kind.num_params) for q in (0, 1)]
+        else:
+            gates += [Gate(kind, qubits) for qubits in ((0, 1), (1, 0), (0, 0), (1, 1))]
+    gates += [Gate(GateKind.BARRIER, qubits) for qubits in ((0, 1, 2), (2, 0, 2))]
+    assert {str(g): cf_front([g]) for g in gates} == {str(g): {0} for g in gates}
 
 
 def test_cf_front_exposes_both_shared_target_cxs():
@@ -184,5 +202,5 @@ def test_commutes_matches_reference_and_two_gate_front():
         else:
             b = random_pair_gate(rng, n)
         assert commutes(a, b) == commutes_reference(a, b), (str(a), str(b))
-        # The rule the dependency check's blocker search used before.
-        assert commutes(a, b) == (1 in cf_front([a, b])), (str(a), str(b))
+        # ``commutes`` is "b is in the front of [a, b]"; the reference agrees.
+        assert commutes(a, b) == (1 in cf_front_reference([a, b])), (str(a), str(b))

@@ -115,7 +115,7 @@ def test_lane_front_is_a_run_from_the_head(seed):
     gates = random_gates(rng, n, rng.randint(0, 30))
     for q in range(n):
         lane = [g for g in gates if q in g.qubits]
-        front = cf_front(lane)
+        front = cf_front_reference(lane)
         assert front == set(range(len(front)))
 
 

@@ -269,6 +269,16 @@ def test_dependency_allows_commuting_reorder():
     assert dependency_equivalence(circ, identity_schedule(reordered)).dependency_ok
 
 
+def test_dependency_names_the_gate_a_repeated_operand_jumps():
+    # The public API accepts a gate that names one qubit twice; the check
+    # reports the reordering rather than failing to find its blocker.
+    circ = Circuit(1).x(0).cx(0, 0)
+    reordered = Circuit(1).cx(0, 0).x(0)
+    report = dependency_equivalence(circ, identity_schedule(reordered))
+    assert not report.dependency_ok
+    assert report.details == ["cx 0,0 at position 0 jumped before non-commuting x 0"]
+
+
 def test_dependency_flags_wrong_final_mapping(square4, golden_fixture):
     result = route(golden_fixture, square4)
     wrong = Schedule(result.schedule.items, result.schedule.initial_mapping,
