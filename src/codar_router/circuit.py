@@ -102,12 +102,17 @@ class Gate(_GateCaches):
         """
         sig = self._sig
         if sig is None:
-            kind, qubits = self.kind, self.qubits
-            if kind is _SWAP or kind is _BARRIER:
-                qubits = tuple(sorted(qubits))
-            sig = (kind, qubits, self.params, self.cbit)
+            sig = self._signature_on(self.qubits)
             _set_sig(self, sig)
         return sig
+
+    def _signature_on(self, qubits: tuple[int, ...]) -> tuple:
+        # The signature of this gate moved to ``qubits``, without building
+        # that gate: the dependency check reads each routed gate this way.
+        kind = self.kind
+        if kind is _SWAP or kind is _BARRIER:
+            qubits = tuple(sorted(qubits))
+        return (kind, qubits, self.params, self.cbit)
 
     def with_qubits(self, qubits: tuple[int, ...]) -> Gate:
         # The constructor, not ``dataclasses.replace``, which inspects the

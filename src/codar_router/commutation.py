@@ -118,7 +118,7 @@ class LaneFrontier:
     def __init__(self, gates, commutative: bool = True):
         self._gates = gates
         #: Per qubit, the lane's runs in order, each a list of gate indices.
-        self._runs: dict[int, list[list[int]]] = {}
+        self.runs: dict[int, list[list[int]]] = {}
         self._outside = outside = [0] * len(gates)
         # Per qubit, the lane's last run so far and the key its gates share.
         tail: dict[int, list[int]] = {}
@@ -132,14 +132,14 @@ class LaneFrontier:
                     run.append(i)
                 else:
                     run = tail[q] = [i]
-                    self._runs.setdefault(q, []).append(run)
+                    self.runs.setdefault(q, []).append(run)
                     shared[q] = key
                 outside[i] += 1
-        self._next = dict.fromkeys(self._runs, 0)
-        self._left = dict.fromkeys(self._runs, 0)
+        self._next = dict.fromkeys(self.runs, 0)
+        self._left = dict.fromkeys(self.runs, 0)
         #: Indices, into the gate list, of the remaining gates in the front.
         self.front: set[int] = {i for i, count in enumerate(outside) if not count}
-        self.front |= self._extend(self._runs)
+        self.front |= self._extend(self.runs)
 
     def remove(self, indices: set[int]) -> set[int]:
         """Drop a set of front gates from the list and bring the front up to date.
@@ -169,7 +169,7 @@ class LaneFrontier:
     def _extend(self, qubits) -> set[int]:
         """Move lanes on to their next runs; returns the gates now in the front."""
         entered = set()
-        outside, runs, nxt, left = self._outside, self._runs, self._next, self._left
+        outside, runs, nxt, left = self._outside, self.runs, self._next, self._left
         for q in qubits:
             k = nxt[q]
             if k == len(runs[q]):

@@ -176,75 +176,54 @@ class ReplayResult:
     violations: list[str]
 
 
+def _replay(items: list[ScheduledGate], mapping: Mapping, violations: list[str]):
+    """Yield ``(gate, operands)`` for each program item, in schedule order.
+
+    ``mapping`` starts as the initial placement, and inserted SWAPs update it
+    in place.  ``operands`` are the program qubits on the gate's physical
+    qubits at that point.  An item is skipped, with a line in ``violations``,
+    when it has an operand outside ``range(mapping.num_physical)``, when it
+    is inserted but not a SWAP of two qubits, or when it is a program gate on
+    a physical qubit that holds no program qubit.
+    """
+    inv = mapping.inv  # swapped in place
+    device, program = set(range(len(inv))), set(range(mapping.num_logical))
+    for item in items:
+        gate = item.gate
+        qubits = gate.qubits
+        if not device.issuperset(qubits):
+            violations.append(f"{gate} acts on a qubit outside the device")
+        elif item.inserted:
+            if gate.kind is not _SWAP:
+                violations.append(f"inserted non-SWAP gate {gate}")
+            elif len(qubits) != 2:
+                violations.append(f"inserted {gate} does not name two qubits")
+            else:
+                mapping.swap(*qubits)
+        else:
+            operands = tuple(map(inv.__getitem__, qubits))
+            if program.issuperset(operands):
+                yield gate, operands
+            else:
+                violations.append(f"{gate} acts on an unoccupied physical qubit")
+
+
 def replay_schedule(items: list[ScheduledGate], init: Mapping) -> ReplayResult:
     """Strip inserted SWAPs while tracking where every program qubit lives.
 
     Routing SWAPs become mapping updates; every other gate has its physical
     operands translated back to the program qubits occupying them at that
-    point.  SWAPs present in the source program are kept as real gates.  A
-    gate with an operand outside ``range(init.num_physical)`` is a violation.
+    point.  SWAPs present in the source program are kept as real gates.
+    Items that cannot be replayed are violations (see :func:`_replay`).
     """
     mapping = init.copy()
-    inv = mapping.inv  # swapped in place
-    device, program = set(range(init.num_physical)), set(range(init.num_logical))
-    logical: list[Gate] = []
     violations: list[str] = []
-    for item in items:
-        gate = item.gate
-        if not device.issuperset(gate.qubits):
-            violations.append(f"{gate} acts on a qubit outside the device")
-            continue
-        if item.inserted:
-            if gate.kind is not _SWAP:
-                violations.append(f"inserted non-SWAP gate {gate}")
-                continue
-            mapping.swap(*gate.qubits)
-            continue
-        operands = tuple(map(inv.__getitem__, gate.qubits))
-        if not program.issuperset(operands):
-            violations.append(f"{gate} acts on an unoccupied physical qubit")
-            continue
-        logical.append(gate.with_qubits(operands))
+    logical = [gate.with_qubits(operands)
+               for gate, operands in _replay(items, mapping, violations)]
     return ReplayResult(logical, mapping, violations)
 
 
 # --- dependency check -----------------------------------------------------
-
-def _is_commuting_reordering(original: list[Gate],
-                             candidate: list[Gate]) -> tuple[bool, list[str]]:
-    """Is ``candidate`` reachable from ``original`` by adjacent commuting swaps?
-
-    Each candidate gate is matched to the earliest unused source gate with the
-    same signature; that gate must commute with every unused source gate
-    before it, i.e. be in the CF front of what is left, and is then used up.
-    The lengths are equal, so once every candidate gate has used up a source
-    gate, none is left over.
-    """
-    if len(original) != len(candidate):
-        return False, [f"gate count differs: {len(original)} vs {len(candidate)}"]
-    # Per signature, the unused source gates, the earliest last.
-    unused: dict[tuple, list[int]] = defaultdict(list)
-    for i in reversed(range(len(original))):
-        unused[original[i].signature()].append(i)
-    frontier = LaneFrontier(original)
-    used = [False] * len(original)
-    for k, gate in enumerate(candidate):
-        stack = unused.get(gate.signature())
-        if not stack:
-            return False, [f"extra or missing gate at position {k}: {gate}"]
-        idx = stack[-1]
-        if idx not in frontier.front:
-            # The earliest unused source gate that keeps it out of the front.
-            source = original[idx]
-            blocker = min(j for j in range(idx)
-                          if not used[j] and not commutes(original[j], source))
-            return False, [
-                f"{gate} at position {k} jumped before non-commuting {original[blocker]}"]
-        stack.pop()
-        used[idx] = True
-        frontier.remove({idx})
-    return True, []
-
 
 @dataclass
 class EquivalenceReport:
@@ -261,21 +240,74 @@ class EquivalenceReport:
         return asdict(self)
 
 
+def _run_counters(gates: list[Gate]) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Per gate, the ids of its runs; per run id, how many of its gates are left.
+
+    The runs are :class:`LaneFrontier`'s.  Each lane's runs take consecutive
+    ids after one slot that counts 0, so a gate is in the CF front of the
+    gates not yet placed exactly when the count just before each of its runs
+    is 0: every earlier run of each of its lanes is spent.
+    """
+    runs_of: list[tuple[int, ...]] = [()] * len(gates)
+    left: list[int] = []
+    for lane in LaneFrontier(gates).runs.values():
+        left.append(0)
+        for run in lane:
+            r = len(left)
+            left.append(len(run))
+            for i in run:
+                runs_of[i] += (r,)
+    return runs_of, left
+
+
 def dependency_equivalence(original: Circuit, schedule: Schedule) -> EquivalenceReport:
     """Check that the schedule preserves the source program's dependencies.
 
-    Inserted SWAPs are replayed onto the mapping and everything else is
-    remapped back to program qubits; the result must be the original gate
-    multiset in an order reachable through commuting exchanges, and the
-    replayed placement must land on the schedule's final mapping.
+    One walk of the schedule replays inserted SWAPs onto the mapping and
+    reads every other gate on program qubits.  Each such gate must reach
+    the earliest unused source gate of the same signature, and that gate
+    must be in the CF front of the unused ones, i.e. the schedule is the
+    source reordered by commuting exchanges.  The gate counts must agree,
+    and the replayed placement must land on the schedule's final mapping.
+    Only the first misplaced gate is reported, and none when the counts
+    differ.
     """
-    replay = replay_schedule(schedule.items, schedule.initial_mapping)
-    details = list(replay.violations)
-    if replay.final_mapping != schedule.final_mapping:
+    source = original.gates
+    # Per signature, the unused source gates, the earliest last.
+    unused: dict[tuple, list[int]] = defaultdict(list)
+    for i in reversed(range(len(source))):
+        unused[source[i].signature()].append(i)
+    runs_of, left = _run_counters(source)
+    mapping = schedule.initial_mapping.copy()
+    details: list[str] = []
+    walk = _replay(schedule.items, mapping, details)
+    problem = None
+    position = -1
+    for position, (gate, operands) in enumerate(walk):
+        stack = unused.get(gate._signature_on(operands))
+        if not stack:
+            problem = f"extra or missing gate at position {position}: {gate.with_qubits(operands)}"
+            break
+        idx = stack.pop()
+        for r in runs_of[idx]:
+            if left[r - 1]:
+                # The earliest unused source gate that keeps it out of the front.
+                blocker = min(j for left_over in unused.values() for j in left_over
+                              if j < idx and not commutes(source[j], source[idx]))
+                problem = (f"{gate.with_qubits(operands)} at position {position} jumped "
+                           f"before non-commuting {source[blocker]}")
+                break
+            left[r] -= 1
+        if problem:
+            break
+    count = position + 1 + sum(1 for _ in walk)
+    if mapping != schedule.final_mapping:
         details.append("replayed SWAPs do not reproduce the reported final mapping")
-    ok, problems = _is_commuting_reordering(original.gates, replay.logical_gates)
-    details.extend(problems)
-    return EquivalenceReport(dependency_ok=ok and not details, details=details)
+    if count != len(source):
+        problem = f"gate count differs: {len(source)} vs {count}"
+    if problem:
+        details.append(problem)
+    return EquivalenceReport(dependency_ok=not details, details=details)
 
 
 # --- statevector oracle ----------------------------------------------------

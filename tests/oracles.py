@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 
-from codar_router import Gate, GateKind, Mapping, RouterConfig, Schedule, ScheduledGate
+from codar_router import Gate, GateKind, Mapping, RouterConfig, Schedule, ScheduledGate, commutes
+from codar_router.commutation import LaneFrontier
 
 INF = 10 ** 9
 
@@ -271,6 +272,77 @@ def is_commuting_reordering_reference(original, candidate) -> bool:
         placed.add(queue[pos])
         cursor[sig] = pos + 1
     return True
+
+
+# --- the dependency check as a replay plus a frontier walk ------------------
+# The package's dependency check before it became one walk of the schedule:
+# a replay that builds each program gate on program qubits, then a
+# LaneFrontier that drops each matched source gate in turn.  It shares
+# LaneFrontier and commutes with the package, so it pins the single walk's
+# verdicts and details rather than checking the order independently
+# (is_commuting_reordering_reference does that).  An inserted SWAP that does
+# not name two qubits raises TypeError here.
+
+def replay_reference(items, init):
+    """(program gates on program qubits, final mapping, violations) of a replay."""
+    mapping = init.copy()
+    inv = mapping.inv
+    device, program = set(range(init.num_physical)), set(range(init.num_logical))
+    logical, violations = [], []
+    for item in items:
+        gate = item.gate
+        if not device.issuperset(gate.qubits):
+            violations.append(f"{gate} acts on a qubit outside the device")
+            continue
+        if item.inserted:
+            if gate.kind is not GateKind.SWAP:
+                violations.append(f"inserted non-SWAP gate {gate}")
+                continue
+            mapping.swap(*gate.qubits)
+            continue
+        operands = tuple(map(inv.__getitem__, gate.qubits))
+        if not program.issuperset(operands):
+            violations.append(f"{gate} acts on an unoccupied physical qubit")
+            continue
+        logical.append(gate.with_qubits(operands))
+    return logical, mapping, violations
+
+
+def frontier_reordering_reference(original, candidate) -> tuple[bool, list[str]]:
+    """Match each candidate gate to the earliest unused source gate of its
+    signature, which must be in the CF front of the unused source gates."""
+    if len(original) != len(candidate):
+        return False, [f"gate count differs: {len(original)} vs {len(candidate)}"]
+    unused: dict[tuple, list[int]] = {}
+    for i in reversed(range(len(original))):
+        unused.setdefault(original[i].signature(), []).append(i)
+    frontier = LaneFrontier(original)
+    used = [False] * len(original)
+    for k, gate in enumerate(candidate):
+        stack = unused.get(gate.signature())
+        if not stack:
+            return False, [f"extra or missing gate at position {k}: {gate}"]
+        idx = stack[-1]
+        if idx not in frontier.front:
+            source = original[idx]
+            blocker = min(j for j in range(idx)
+                          if not used[j] and not commutes(original[j], source))
+            return False, [
+                f"{gate} at position {k} jumped before non-commuting {original[blocker]}"]
+        stack.pop()
+        used[idx] = True
+        frontier.remove({idx})
+    return True, []
+
+
+def dependency_equivalence_reference(original, schedule) -> tuple[bool, list[str]]:
+    """(dependency_ok, details) of the replay plus the frontier walk."""
+    logical, mapping, details = replay_reference(schedule.items, schedule.initial_mapping)
+    if mapping != schedule.final_mapping:
+        details.append("replayed SWAPs do not reproduce the reported final mapping")
+    ok, problems = frontier_reordering_reference(original.gates, logical)
+    details.extend(problems)
+    return ok and not details, details
 
 
 # --- SWAP search from scratch ---------------------------------------------

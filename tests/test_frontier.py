@@ -28,12 +28,15 @@ from codar_router import (
 )
 from codar_router.commutation import LaneFrontier
 from codar_router.router import _SwapSearch
-from codar_router.verify import _is_commuting_reordering, dependency_equivalence, replay_schedule
+from codar_router.router import Schedule, ScheduledGate
+from codar_router.verify import dependency_equivalence, replay_schedule
 
 from oracles import (
     best_swap_reference,
     candidate_swaps_reference,
     cf_front_reference,
+    dependency_equivalence_reference,
+    frontier_reordering_reference,
     heuristic_priority,
     is_commuting_reordering_reference,
     no_predecessor_front_reference,
@@ -41,7 +44,7 @@ from oracles import (
     reference_route,
     swap_scores_reference,
 )
-from test_large_devices import fenced_program
+from test_large_devices import fenced_program, qft_circuit, random_program
 
 
 ARCHS = (preset_architecture("square4"), preset_architecture("demo6"), grid_architecture(3, 3))
@@ -128,7 +131,7 @@ def test_lane_runs_match_fronts_of_the_lane_suffixes(seed):
     n = rng.randint(1, 4)
     gates = random_gates(rng, n, rng.randint(0, 30))
     for commutativity_on in (True, False):
-        runs = LaneFrontier(gates, commutativity_on)._runs
+        runs = LaneFrontier(gates, commutativity_on).runs
         for q in range(n):
             lane = [i for i, g in enumerate(gates) if q in g.qubits]
             assert [i for run in runs.get(q, []) for i in run] == lane
@@ -211,7 +214,7 @@ def test_ablated_lane_rescan_reads_only_the_lane_head(monkeypatch):
         assert schedule.to_json() == reference_route(circuit, arch, config).to_json()
     assert built
     for frontier in built:
-        assert {len(run) for runs in frontier._runs.values() for run in runs} == {1}
+        assert {len(run) for runs in frontier.runs.values() for run in runs} == {1}
         assert not frontier.front
 
 
@@ -269,7 +272,13 @@ def test_repeat_passes_only_past_marks_of_its_own_signature():
 
 
 def check_verdict(original, candidate) -> bool:
-    ok, _ = _is_commuting_reordering(original, candidate)
+    """The dependency check's verdict on ``candidate`` run in place, against both references."""
+    n = 1 + max((q for gate in original + candidate for q in gate.qubits), default=0)
+    init = Mapping.identity(n, n)
+    items = [ScheduledGate(gate, k, 1, 1) for k, gate in enumerate(candidate)]
+    report = dependency_equivalence(Circuit(n, original), Schedule(items, init, init.copy()))
+    ok, problems = frontier_reordering_reference(original, candidate)
+    assert (report.dependency_ok, report.details) == (ok, problems)
     assert ok == is_commuting_reordering_reference(original, candidate)
     return ok
 
@@ -329,6 +338,95 @@ def test_blocker_is_the_earliest_unplaced_non_commuting_gate():
         "x 0 at position 1 jumped before non-commuting z 0"]
     assert dependency_details([H, Z, Y, X], [H, X, Z, Y]) == [
         "x 0 at position 1 jumped before non-commuting z 0"]
+
+
+def dependency_mutants(schedule: Schedule, rng: random.Random):
+    """(kind, schedule): one mutant of each kind, at random places."""
+    from dataclasses import replace
+
+    items = schedule.items
+    k = rng.randrange(len(items) - 1)
+    i, j = sorted(rng.sample(range(len(items)), 2))
+    item = items[k]
+    qubits = list(item.gate.qubits)
+    # One past the device now and then, to reach the off-device violation.
+    qubits[rng.randrange(len(qubits))] = rng.randrange(schedule.initial_mapping.num_physical + 1)
+    c = rng.choice([k for k, it in enumerate(items) if it.gate.kind is GateKind.CX])
+    a = rng.choice(items[c].gate.qubits)
+    forward = schedule.final_mapping.forward
+    variants = {
+        "drop": items[:k] + items[k + 1:],
+        "duplicate": items[:k + 1] + items[k:],
+        "adjacent": items[:k] + [items[k + 1], item] + items[k + 2:],
+        "exchange": items[:i] + [items[j]] + items[i + 1:j] + [items[i]] + items[j + 1:],
+        "flip-inserted": items[:k] + [replace(item, inserted=not item.inserted)] + items[k + 1:],
+        "retarget": items[:k] + [replace(item, gate=item.gate.with_qubits(tuple(qubits)))]
+        + items[k + 1:],
+        "repeated-operand": items[:c] + [replace(items[c], gate=items[c].gate.with_qubits((a, a)))]
+        + items[c + 1:],
+    }
+    for kind, variant in variants.items():
+        yield kind, replace(schedule, items=variant)
+    yield "final-mapping", replace(schedule, final_mapping=Mapping(
+        forward[1:] + forward[:1], schedule.final_mapping.num_physical))
+
+
+def test_dependency_check_matches_replay_and_frontier_reference(corpus_dir):
+    """Verdicts and details equal the replay plus frontier walk it replaced.
+
+    On routes of the corpus programs that fit each of three devices, of
+    500-gate programs on ``grid:10x10`` and of a 27-qubit QFT on
+    ``q54-sycamore``, and on two mutants of each kind of each route.
+    """
+    from codar_router import parse_file
+
+    routes = []
+    for device in ("q16-melbourne", "q20-tokyo", "q54-sycamore"):
+        arch = resolve_architecture(device)
+        programs = [parse_file(path) for path in sorted(corpus_dir.glob("*.qasm"))]
+        routes += [(circuit, arch) for circuit in programs
+                   if circuit.num_qubits <= arch.num_qubits]
+    grid = resolve_architecture("grid:10x10")
+    routes += [(random_program(grid.num_qubits, 500, random.Random(seed)), grid)
+               for seed in (1, 2)]
+    routes.append((qft_circuit(27), resolve_architecture("q54-sycamore")))
+    messages = ("outside the device", "inserted non-SWAP", "unoccupied physical qubit",
+                "final mapping", "gate count differs", "extra or missing", "jumped before")
+    seen = dict.fromkeys(messages, 0)
+    verdicts = {True: 0, False: 0}
+    for seed, (circuit, arch) in enumerate(routes):
+        schedule = route(circuit, arch).schedule
+        assert dependency_equivalence(circuit, schedule).dependency_ok
+        rng = random.Random(seed)
+        for _ in range(2):
+            for kind, mutant in dependency_mutants(schedule, rng):
+                report = dependency_equivalence(circuit, mutant)
+                expected = dependency_equivalence_reference(circuit, mutant)
+                assert (report.dependency_ok, report.details) == expected, (seed, kind)
+                verdicts[report.dependency_ok] += 1
+                for message in messages:
+                    seen[message] += any(message in line for line in report.details)
+    assert all(seen.values()), seen
+    assert all(verdicts.values()), verdicts
+
+
+def test_passing_dependency_check_builds_no_gate(monkeypatch):
+    arch = resolve_architecture("grid:10x10")
+    circuit = random_program(arch.num_qubits, 500, random.Random(1))
+    schedule = route(circuit, arch).schedule
+    built = []
+    init = Gate.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Gate, "__init__", counted)
+    assert dependency_equivalence(circuit, schedule).dependency_ok
+    assert built == []
+    # The count is live: the replay builds each program gate on program qubits.
+    replay_schedule(schedule.items, schedule.initial_mapping)
+    assert len(built) == len(circuit.gates)
 
 
 def test_swap_search_state_matches_search_from_scratch():

@@ -217,6 +217,28 @@ def test_inserted_non_swap_fails_replay_and_dependency_check():
     assert report.details == ["inserted non-SWAP gate cx 0,1"]
 
 
+@pytest.mark.parametrize("qubits", [(0,), (0, 1, 2)], ids=["one", "three"])
+def test_inserted_swap_of_other_than_two_qubits_is_a_violation(qubits):
+    # Reported once, by the dependency check; the replay does not move any
+    # qubit for it, and the oracle rejects a schedule it cannot replay.
+    circuit = Circuit(3).h(0).cx(0, 1)
+    init = Mapping.identity(3, 3)
+    items = [ScheduledGate(Gate(GateKind.H, (0,)), 0, 1, 1),
+             ScheduledGate(Gate(GateKind.SWAP, qubits), 1, 3, 3, inserted=True),
+             ScheduledGate(Gate(GateKind.CX, (0, 1)), 4, 2, 2)]
+    schedule = Schedule(items, init, init.copy())
+    detail = f"inserted swap {','.join(map(str, qubits))} does not name two qubits"
+    replay = replay_schedule(items, init)
+    assert replay.violations == [detail]
+    assert replay.final_mapping == init and len(replay.logical_gates) == 2
+    report = dependency_equivalence(circuit, schedule)
+    assert not report.dependency_ok and report.details == [detail]
+    assert statevector_oracle(circuit, schedule) == (False, float("inf"))
+    report = verify_equivalence(circuit, schedule)
+    assert not report.ok and report.oracle_ok is False
+    assert report.details == [detail, "statevector mismatch, max amplitude error inf"]
+
+
 def test_operands_outside_the_device_fail_both_checks(square4):
     # A routed h q[1] moved to qubit -3 must not wrap round to qubit 1, nor one
     # moved to qubit 7 raise IndexError; an inserted SWAP off the device is
