@@ -104,42 +104,55 @@ class LaneFrontier:
     on the lane's qubit equals the head's, or the head alone when its key is
     ``None``.  A lane only ever loses its whole head run, so the
     constructor splits every lane into its runs once, in one pass over the
-    gates' keys.  With ``commutative=False`` every gate is a run of its own:
-    the front is then the gates with no predecessor on any of their qubits.
+    gates' keys, and numbers the runs as it goes.  With ``commutative=False``
+    every gate is a run of its own: the front is then the gates with no
+    predecessor on any of their qubits.
 
-    The frontier keeps, per lane, the number of its current run and how many
-    of that run's gates remain, and, per gate, the number of its lanes whose
-    current runs do not hold it yet; a gate is in the front when that count
-    is 0.  Only front gates can be removed, and a front gate lies inside the
-    current run of each of its lanes, so a removal only counts down runs.
-    Once a lane's run is spent, the lane moves on to its next run.
+    The frontier keeps, per run, its gates, how many of them remain and the
+    lane's next run, and, per gate, its runs and how many of them are not
+    current yet; a gate is in the front when that count is 0.  Only front
+    gates leave, and a front gate lies inside all its runs, which are
+    current, so a removal only counts runs down.  Once a run is spent, its
+    lane's next run becomes current.
     """
 
     def __init__(self, gates, commutative: bool = True):
-        self._gates = gates
-        #: Per qubit, the lane's runs in order, each a list of gate indices.
-        self.runs: dict[int, list[list[int]]] = {}
-        self._outside = outside = [0] * len(gates)
+        # Per run, its gates and the lane's next run, or None; per gate, its runs.
+        self._run_gates = run_gates = []
+        self._next = nxt = []
+        self._gate_runs = gate_runs = []
+        heads = []  # each lane's first run, current from the start
         # Per qubit, the lane's last run so far and the key its gates share.
-        tail: dict[int, list[int]] = {}
+        tail: dict[int, int] = {}
         shared: dict[int, object] = {}
         for i, gate in enumerate(gates):
+            gate_runs.append(mine := [])
             for q, key in gate._keys or _keys(gate):
-                run = tail.get(q)
-                if run and run[-1] == i:
+                r = tail.get(q)
+                if r is None:
+                    heads.append(len(run_gates))
+                elif run_gates[r][-1] == i:
                     continue  # the gate repeats the operand
-                if run and commutative and key is not None and key == shared[q]:
-                    run.append(i)
+                elif commutative and key is not None and key == shared[q]:
+                    run_gates[r].append(i)
+                    mine.append(r)
+                    continue
                 else:
-                    run = tail[q] = [i]
-                    self.runs.setdefault(q, []).append(run)
-                    shared[q] = key
-                outside[i] += 1
-        self._next = dict.fromkeys(self.runs, 0)
-        self._left = dict.fromkeys(self.runs, 0)
+                    nxt[r] = len(run_gates)
+                tail[q] = r = len(run_gates)
+                run_gates.append([i])
+                nxt.append(None)
+                shared[q] = key
+                mine.append(r)
+        # Per run, how many of its gates remain; per gate, how many of its
+        # runs are not current yet.
+        self._left = list(map(len, run_gates))
+        self._outside = outside = list(map(len, gate_runs))
+        for r in heads:
+            for i in run_gates[r]:
+                outside[i] -= 1
         #: Indices, into the gate list, of the remaining gates in the front.
         self.front: set[int] = {i for i, count in enumerate(outside) if not count}
-        self.front |= self._extend(self.runs)
 
     def remove(self, indices: set[int]) -> set[int]:
         """Drop a set of front gates from the list and bring the front up to date.
@@ -154,31 +167,31 @@ class LaneFrontier:
         front = self.front
         if not indices <= front:
             raise ValueError(f"gate {min(indices - front)} is not in the front")
-        spent: list[int] = []
-        left = self._left
-        for i in indices:
-            for q in dict.fromkeys(self._gates[i].qubits):
-                left[q] -= 1
-                if not left[q]:
-                    spent.append(q)
         front.difference_update(indices)
-        entered = self._extend(spent)
+        entered: set[int] = set()
+        for i in indices:
+            self._count_down(i, entered)
         front |= entered
         return entered
 
-    def _extend(self, qubits) -> set[int]:
-        """Move lanes on to their next runs; returns the gates now in the front."""
-        entered = set()
-        outside, runs, nxt, left = self._outside, self.runs, self._next, self._left
-        for q in qubits:
-            k = nxt[q]
-            if k == len(runs[q]):
-                continue
-            nxt[q] = k + 1
-            run = runs[q][k]
-            left[q] = len(run)
-            for i in run:
-                outside[i] -= 1
-                if not outside[i]:
-                    entered.add(i)
-        return entered
+    def take(self, i: int) -> bool:
+        """Drop gate ``i`` if it is in the front; False, with no change, if not."""
+        front = self.front
+        if i not in front:
+            return False
+        front.remove(i)
+        self._count_down(i, front)
+        return True
+
+    def _count_down(self, i: int, entered: set[int]) -> None:
+        """Count front gate ``i`` off its runs; add the gates it lets in to ``entered``."""
+        left, outside = self._left, self._outside
+        for r in self._gate_runs[i]:
+            left[r] -= 1
+            if not left[r]:
+                r = self._next[r]
+                if r is not None:
+                    for j in self._run_gates[r]:
+                        outside[j] -= 1
+                        if not outside[j]:
+                            entered.add(j)

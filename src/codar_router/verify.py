@@ -183,8 +183,8 @@ def _replay(items: list[ScheduledGate], mapping: Mapping, violations: list[str])
     in place.  ``operands`` are the program qubits on the gate's physical
     qubits at that point.  An item is skipped, with a line in ``violations``,
     when it has an operand outside ``range(mapping.num_physical)``, when it
-    is inserted but not a SWAP of two qubits, or when it is a program gate on
-    a physical qubit that holds no program qubit.
+    is inserted but not a SWAP of two distinct qubits, or when it is a
+    program gate on a physical qubit that holds no program qubit.
     """
     inv = mapping.inv  # swapped in place
     device, program = set(range(len(inv))), set(range(mapping.num_logical))
@@ -196,7 +196,7 @@ def _replay(items: list[ScheduledGate], mapping: Mapping, violations: list[str])
         elif item.inserted:
             if gate.kind is not _SWAP:
                 violations.append(f"inserted non-SWAP gate {gate}")
-            elif len(qubits) != 2:
+            elif len(qubits) != 2 or qubits[0] == qubits[1]:
                 violations.append(f"inserted {gate} does not name two qubits")
             else:
                 mapping.swap(*qubits)
@@ -240,35 +240,16 @@ class EquivalenceReport:
         return asdict(self)
 
 
-def _run_counters(gates: list[Gate]) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Per gate, the ids of its runs; per run id, how many of its gates are left.
-
-    The runs are :class:`LaneFrontier`'s.  Each lane's runs take consecutive
-    ids after one slot that counts 0, so a gate is in the CF front of the
-    gates not yet placed exactly when the count just before each of its runs
-    is 0: every earlier run of each of its lanes is spent.
-    """
-    runs_of: list[tuple[int, ...]] = [()] * len(gates)
-    left: list[int] = []
-    for lane in LaneFrontier(gates).runs.values():
-        left.append(0)
-        for run in lane:
-            r = len(left)
-            left.append(len(run))
-            for i in run:
-                runs_of[i] += (r,)
-    return runs_of, left
-
-
 def dependency_equivalence(original: Circuit, schedule: Schedule) -> EquivalenceReport:
     """Check that the schedule preserves the source program's dependencies.
 
     One walk of the schedule replays inserted SWAPs onto the mapping and
     reads every other gate on program qubits.  Each such gate must reach
-    the earliest unused source gate of the same signature, and that gate
-    must be in the CF front of the unused ones, i.e. the schedule is the
-    source reordered by commuting exchanges.  The gate counts must agree,
-    and the replayed placement must land on the schedule's final mapping.
+    the earliest unused source gate of the same signature, and the source's
+    :class:`LaneFrontier` must take that gate from its front, i.e. the
+    schedule is the source reordered by commuting exchanges.  The initial
+    mapping must place exactly the circuit's qubits, the gate counts must
+    agree, and the replayed placement must land on the schedule's final mapping.
     Only the first misplaced gate is reported, and none when the counts
     differ.
     """
@@ -277,9 +258,12 @@ def dependency_equivalence(original: Circuit, schedule: Schedule) -> Equivalence
     unused: dict[tuple, list[int]] = defaultdict(list)
     for i in reversed(range(len(source))):
         unused[source[i].signature()].append(i)
-    runs_of, left = _run_counters(source)
+    frontier = LaneFrontier(source)
     mapping = schedule.initial_mapping.copy()
     details: list[str] = []
+    if mapping.num_logical != original.num_qubits:
+        details.append(f"initial mapping places {mapping.num_logical} program qubit(s), "
+                       f"the circuit has {original.num_qubits}")
     walk = _replay(schedule.items, mapping, details)
     problem = None
     position = -1
@@ -289,16 +273,12 @@ def dependency_equivalence(original: Circuit, schedule: Schedule) -> Equivalence
             problem = f"extra or missing gate at position {position}: {gate.with_qubits(operands)}"
             break
         idx = stack.pop()
-        for r in runs_of[idx]:
-            if left[r - 1]:
-                # The earliest unused source gate that keeps it out of the front.
-                blocker = min(j for left_over in unused.values() for j in left_over
-                              if j < idx and not commutes(source[j], source[idx]))
-                problem = (f"{gate.with_qubits(operands)} at position {position} jumped "
-                           f"before non-commuting {source[blocker]}")
-                break
-            left[r] -= 1
-        if problem:
+        if not frontier.take(idx):
+            # The earliest unused source gate that keeps it out of the front.
+            blocker = min(j for left_over in unused.values() for j in left_over
+                          if j < idx and not commutes(source[j], source[idx]))
+            problem = (f"{gate.with_qubits(operands)} at position {position} jumped "
+                       f"before non-commuting {source[blocker]}")
             break
     count = position + 1 + sum(1 for _ in walk)
     if mapping != schedule.final_mapping:
@@ -334,13 +314,15 @@ def statevector_oracle(original: Circuit, schedule: Schedule) -> tuple[bool, flo
     become relocations), which keeps the state space at the program's qubit
     count no matter how large the device is.  The simulation skips terminal
     measurements on both sides; mid-circuit measurement raises
-    :class:`OracleLimitError`.
+    :class:`OracleLimitError`.  A schedule that the replay cannot follow, or
+    whose initial mapping does not place exactly the circuit's qubits, gives
+    ``(False, inf)``.
     """
     n = original.num_qubits
     if n > ORACLE_QUBIT_LIMIT:
         raise OracleLimitError(f"{n} qubits exceeds the {ORACLE_QUBIT_LIMIT}-qubit oracle limit")
     replay = replay_schedule(schedule.items, schedule.initial_mapping)
-    if replay.violations:
+    if replay.violations or schedule.initial_mapping.num_logical != n:
         return False, float("inf")
     _check_terminal_measures(original.gates)
     _check_terminal_measures(replay.logical_gates)

@@ -281,7 +281,8 @@ def is_commuting_reordering_reference(original, candidate) -> bool:
 # LaneFrontier and commutes with the package, so it pins the single walk's
 # verdicts and details rather than checking the order independently
 # (is_commuting_reordering_reference does that).  An inserted SWAP that does
-# not name two qubits raises TypeError here.
+# not name two qubits raises TypeError here, and one that names a qubit twice
+# moves nothing; the package reports both as violations.
 
 def replay_reference(items, init):
     """(program gates on program qubits, final mapping, violations) of a replay."""

@@ -1,8 +1,11 @@
 """The package's public names, its settings, and the helpers kept off that list."""
 from __future__ import annotations
 
+import ast
 import dataclasses
 import inspect
+import re
+from pathlib import Path
 
 import codar_router
 import codar_router.router as router_module
@@ -83,3 +86,16 @@ def test_settings_are_pinned():
     }
     for fn, names in expected.items():
         assert list(inspect.signature(fn).parameters) == names, fn.__qualname__
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    # ``requires-python`` is a promise the test interpreter, which may be
+    # newer, cannot check by running: parse every module with the floor's
+    # grammar instead.
+    root = Path(__file__).resolve().parent.parent
+    pyproject = (root / "pyproject.toml").read_text()
+    floor = tuple(map(int, re.search(r'requires-python = ">=(\d+)\.(\d+)"', pyproject).groups()))
+    sources = sorted((root / "src" / "codar_router").glob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(), filename=str(path), feature_version=floor)

@@ -97,6 +97,25 @@ def test_lane_frontier_matches_full_rescan(seed):
             assert before - batch <= frontier.front
             assert entered == frontier.front - before
             remaining = [i for i in remaining if i not in batch]
+        # The dependency check's way: one gate at a time through ``take``,
+        # which refuses a gate outside the front and changes nothing then.
+        frontier = LaneFrontier(gates, commutativity_on)
+        remaining = list(range(len(gates)))
+        while remaining:
+            rest = [gates[i] for i in remaining]
+            expected = (cf_front_reference(rest) if commutativity_on
+                        else no_predecessor_front_reference(rest))
+            assert frontier.front == {remaining[k] for k in expected}
+            before = set(frontier.front)
+            waiting = [i for i in remaining if i not in before]
+            for i in rng.sample(waiting, min(2, len(waiting))):
+                assert frontier.take(i) is False
+                assert frontier.front == before
+            i = rng.choice(sorted(before))
+            assert frontier.take(i) is True
+            assert i not in frontier.front and before - {i} <= frontier.front
+            remaining.remove(i)
+        assert frontier.front == set()
 
 
 @given(st.integers(0, 10_000))
@@ -122,6 +141,23 @@ def test_lane_front_is_a_run_from_the_head(seed):
         assert front == set(range(len(front)))
 
 
+def lane_runs(frontier: LaneFrontier, gates: list[Gate], q: int) -> list[list[int]]:
+    """The runs of qubit ``q``'s lane, in order, read from the frontier's flat state.
+
+    A gate's runs follow its distinct qubits in order; each run names the
+    lane's next one.
+    """
+    first = next((i for i, g in enumerate(gates) if q in g.qubits), None)
+    if first is None:
+        return []
+    r = frontier._gate_runs[first][list(dict.fromkeys(gates[first].qubits)).index(q)]
+    runs = []
+    while r is not None:
+        runs.append(frontier._run_gates[r])
+        r = frontier._next[r]
+    return runs
+
+
 @given(st.integers(0, 10_000))
 @settings(max_examples=150, deadline=None)
 def test_lane_runs_match_fronts_of_the_lane_suffixes(seed):
@@ -131,11 +167,12 @@ def test_lane_runs_match_fronts_of_the_lane_suffixes(seed):
     n = rng.randint(1, 4)
     gates = random_gates(rng, n, rng.randint(0, 30))
     for commutativity_on in (True, False):
-        runs = LaneFrontier(gates, commutativity_on).runs
+        frontier = LaneFrontier(gates, commutativity_on)
         for q in range(n):
             lane = [i for i, g in enumerate(gates) if q in g.qubits]
-            assert [i for run in runs.get(q, []) for i in run] == lane
-            ends = list(accumulate(len(run) for run in runs.get(q, [])))
+            runs = lane_runs(frontier, gates, q)
+            assert [i for run in runs for i in run] == lane
+            ends = list(accumulate(len(run) for run in runs))
             if not commutativity_on:
                 assert ends == list(range(1, len(lane) + 1))
             expected, start = [], 0
@@ -170,27 +207,27 @@ def test_lane_frontier_and_routes_never_call_cf_front(monkeypatch):
             assert dependency_equivalence(circuit, schedule).dependency_ok
 
 
-def test_lane_frontier_rescans_a_lane_only_once_its_run_empties(monkeypatch):
-    moved = []
-    extend = LaneFrontier._extend
+def test_lane_frontier_rescans_a_lane_only_once_its_run_empties():
+    visited = []
 
-    def counting(self, qubits):
-        qubits = list(qubits)
-        moved.extend(qubits)
-        return extend(self, qubits)
+    class Recording(list):
+        def __getitem__(self, r):
+            visited.append(r)
+            return super().__getitem__(r)
 
-    monkeypatch.setattr(LaneFrontier, "_extend", counting)
     diagonal = [Gate(GateKind.T, (0,)), Gate(GateKind.Z, (0,)), Gate(GateKind.S, (0,)),
                 Gate(GateKind.U1, (0,), (0.3,)), Gate(GateKind.RZ, (0,), (0.9,))]
     frontier = LaneFrontier(diagonal + [Gate(GateKind.H, (0,))])
+    assert frontier._run_gates == [list(range(len(diagonal))), [len(diagonal)]]
+    frontier._run_gates = Recording(frontier._run_gates)
     assert frontier.front == set(range(len(diagonal)))
     for i in range(len(diagonal) - 1):
         assert frontier.remove({i}) == set()
-    assert moved == [0]
+    assert visited == []
     assert frontier.remove({len(diagonal) - 1}) == {len(diagonal)}
-    # The lane moves on once at construction and once when its run empties,
-    # not once per removal.
-    assert moved == [0, 0]
+    # The lane's next run is read once, when its run empties, not once per
+    # removal.
+    assert visited == [1]
 
 
 def test_ablated_lane_rescan_reads_only_the_lane_head(monkeypatch):
@@ -214,7 +251,7 @@ def test_ablated_lane_rescan_reads_only_the_lane_head(monkeypatch):
         assert schedule.to_json() == reference_route(circuit, arch, config).to_json()
     assert built
     for frontier in built:
-        assert {len(run) for runs in frontier.runs.values() for run in runs} == {1}
+        assert {len(run) for run in frontier._run_gates} == {1}
         assert not frontier.front
 
 

@@ -217,10 +217,11 @@ def test_inserted_non_swap_fails_replay_and_dependency_check():
     assert report.details == ["inserted non-SWAP gate cx 0,1"]
 
 
-@pytest.mark.parametrize("qubits", [(0,), (0, 1, 2)], ids=["one", "three"])
+@pytest.mark.parametrize("qubits", [(0,), (0, 1, 2), (1, 1)], ids=["one", "three", "repeated"])
 def test_inserted_swap_of_other_than_two_qubits_is_a_violation(qubits):
     # Reported once, by the dependency check; the replay does not move any
-    # qubit for it, and the oracle rejects a schedule it cannot replay.
+    # qubit for it, and the oracle rejects a schedule it cannot replay.  A
+    # SWAP of a qubit with itself would spend SWAP time on no relocation.
     circuit = Circuit(3).h(0).cx(0, 1)
     init = Mapping.identity(3, 3)
     items = [ScheduledGate(Gate(GateKind.H, (0,)), 0, 1, 1),
@@ -237,6 +238,27 @@ def test_inserted_swap_of_other_than_two_qubits_is_a_violation(qubits):
     report = verify_equivalence(circuit, schedule)
     assert not report.ok and report.oracle_ok is False
     assert report.details == [detail, "statevector mismatch, max amplitude error inf"]
+
+
+@pytest.mark.parametrize("circuit, placed, extra", [
+    (Circuit(2).h(0).cx(0, 1), 3, [Gate(GateKind.T, (2,))]),
+    (Circuit(2).h(0), 1, []),
+], ids=["more", "fewer"])
+def test_initial_mapping_of_the_wrong_size_fails_every_check(circuit, placed, extra):
+    # One more program qubit, acted on, reaches past the oracle's state
+    # vector; one fewer leaves a program qubit without a place, though no
+    # gate acts on it.
+    init = Mapping(list(range(placed)), 3)
+    items = [ScheduledGate(gate, k, 1, 1) for k, gate in enumerate(circuit.gates + extra)]
+    schedule = Schedule(items, init, init.copy())
+    detail = f"initial mapping places {placed} program qubit(s), the circuit has 2"
+    report = dependency_equivalence(circuit, schedule)
+    assert not report.dependency_ok and report.details[0] == detail
+    assert statevector_oracle(circuit, schedule) == (False, float("inf"))
+    report = verify_equivalence(circuit, schedule)
+    assert not report.ok and report.oracle_ok is False
+    assert report.details[0] == detail
+    assert report.details[-1] == "statevector mismatch, max amplitude error inf"
 
 
 def test_operands_outside_the_device_fail_both_checks(square4):
