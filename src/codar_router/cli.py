@@ -2,9 +2,9 @@
 
 ``route`` loads an architecture and an OpenQASM file, schedules it, verifies
 the result, and writes routed QASM plus a JSON report.  ``bench`` routes every
-circuit in a directory under the full policy and under the duration-unaware,
-commutativity-off ablation (re-costed with device durations), emitting a CSV
-and JSON comparison table.
+circuit in a directory from one start under the full policy and under the
+duration-unaware, commutativity-off ablation (re-costed with device
+durations), dependency-checks both, and emits a CSV and JSON comparison table.
 
 Exit codes: 0 success, 1 input/diagnostic errors, 2 verification failure.
 Every exit-1 failure raises ``SystemExit`` with its ``error: ...`` message,
@@ -21,18 +21,13 @@ import time
 from importlib import resources
 from pathlib import Path
 
-from . import __version__
+from . import __version__, verify
 from .arch import Architecture, ArchitectureError, resolve_architecture
 from .circuit import Circuit
-from .qasm import QasmError, emit_program, parse_file, validate
-from .router import (
-    RouterConfig,
-    RoutingResult,
-    initial_mapping,
-    rescore_true_durations,
-    route,
-)
-from .verify import EquivalenceReport, verify_equivalence
+from .pipeline import Compilation, compile_circuit
+from .qasm import QasmError, emit_program, parse_file
+from .router import (InvalidCircuitError, RouterConfig, TooManyQubitsError, _route,
+                     rescore_true_durations)
 
 
 #: ``--init`` value to :func:`initial_mapping` policy name.
@@ -66,10 +61,9 @@ def _write_text(path: str, text: str) -> None:
         raise SystemExit(f"error: cannot write {path}: {exc.strerror}") from None
 
 
-def build_report(name: str, arch: Architecture, result: RoutingResult,
-                 cfg: RouterConfig, init_policy: str, equivalence: EquivalenceReport,
-                 wall_time_ms: float) -> dict:
-    schedule = result.schedule
+def build_report(name: str, arch: Architecture, compiled: Compilation,
+                 cfg: RouterConfig, init_policy: str) -> dict:
+    schedule, ms = compiled.result.schedule, {k: v * 1000.0 for k, v in compiled.timings.items()}
     report = {
         "circuit": name,
         "arch": arch.name,
@@ -80,10 +74,11 @@ def build_report(name: str, arch: Architecture, result: RoutingResult,
         },
         "weighted_depth": schedule.weighted_depth,
         "swap_count": schedule.swap_count,
-        "gate_count": len(result.routed.gates),
+        "gate_count": len(compiled.result.routed.gates),
         "stall_events": schedule.stall_events,
-        "wall_time_ms": round(wall_time_ms, 3),
-        "equivalence": equivalence.to_dict(),
+        "wall_time_ms": round(ms["router.init_map"] + ms["router.route"], 3),
+        "timings": {k: round(v, 3) for k, v in ms.items()},
+        "equivalence": compiled.equivalence.to_dict(),
         "schedule": schedule.to_dict(),
     }
     if not cfg.duration_aware:
@@ -95,22 +90,20 @@ def run_route(args) -> int:
     arch = _device(args.arch)
     path = Path(args.input)
     circuit = _load_circuit(path)
-    diagnostics = validate(circuit, arch.num_qubits)
-    if diagnostics:
-        raise SystemExit("\n".join(f"error: {path}: {d}" for d in diagnostics))
-
     cfg = RouterConfig(duration_aware=not args.no_duration_aware,
                        commutativity_on=not args.no_commutativity)
     init_policy = _INIT_POLICIES[args.init]
-    start = time.perf_counter()
     try:
-        init = initial_mapping(circuit, arch, init_policy, cfg)
-        result = route(circuit, arch, init, cfg)
+        compiled = compile_circuit(circuit, arch, init_policy, cfg)
+    except (InvalidCircuitError, TooManyQubitsError) as exc:
+        raise SystemExit("\n".join(f"error: {path}: {d}" for d in exc.diagnostics)) from None
     except ArchitectureError as exc:
         raise SystemExit(f"error: {path}: {exc}") from None
-    wall_ms = (time.perf_counter() - start) * 1000.0
-    equivalence = verify_equivalence(circuit, result.schedule)
-    report = build_report(path.stem, arch, result, cfg, init_policy, equivalence, wall_ms)
+    result, equivalence = compiled.result, compiled.equivalence
+    start = time.perf_counter()
+    verify.add_oracle(equivalence, circuit, result.schedule)
+    compiled.timings["verify.oracle"] = time.perf_counter() - start
+    report = build_report(path.stem, arch, compiled, cfg, init_policy)
 
     routed_text = emit_program(result.routed, decompose_swap=args.decompose_swap)
     if args.output:
@@ -156,17 +149,21 @@ def bench_corpus(corpus_dir: Path, archs: list[Architecture],
                 errors.append({"circuit": name, "arch": arch.name, "error": error})
                 continue
             if circuit.num_qubits > arch.num_qubits:
-                skipped.append({
-                    "circuit": name, "arch": arch.name,
-                    "reason": f"needs {circuit.num_qubits} qubits, device has {arch.num_qubits}",
-                })
+                skipped.append({"circuit": name, "arch": arch.name, "reason":
+                                f"needs {circuit.num_qubits} qubits, device has {arch.num_qubits}"})
                 continue
             try:
-                init = initial_mapping(circuit, arch, init_policy, full_cfg)
-                full = route(circuit, arch, init, full_cfg)
-                ablated = route(circuit, arch, init, ablated_cfg)
+                compiled = compile_circuit(circuit, arch, init_policy, full_cfg)
+                full = compiled.result
+                ablated = _route(circuit, arch, full.schedule.initial_mapping, ablated_cfg)
             except ArchitectureError as exc:
                 errors.append({"circuit": name, "arch": arch.name, "error": str(exc)})
+                continue
+            checks = (("full", compiled.equivalence),
+                      ("ablated", verify.dependency_equivalence(circuit, ablated.schedule)))
+            failed = [f"{side} route: {d}" for side, check in checks for d in check.details]
+            if failed:
+                errors.append({"circuit": name, "arch": arch.name, "error": "; ".join(failed)})
                 continue
             # Depth of the produced circuit: its gate order replayed ASAP under
             # device durations.  Same metric on both sides; the ablated router
@@ -211,6 +208,9 @@ def run_bench(args) -> int:
     if not corpus.is_dir():
         raise SystemExit(f"error: corpus directory {corpus} does not exist")
     archs = [_device(spec) for spec in args.arch]
+    names = [arch.name for arch in archs]
+    if repeated := [name for i, name in enumerate(names) if name in names[:i]]:
+        raise SystemExit(f"error: more than one --arch device is named {repeated[0]}")
     table = bench_corpus(corpus, archs, _INIT_POLICIES[args.init])
     csv_text = comparison_csv(table)
     if args.out_csv:

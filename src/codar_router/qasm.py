@@ -377,6 +377,8 @@ class _Parser:
                                       line)
             for i in range(self.qreg_size):
                 self.gates.append(Gate(GateKind.MEASURE, (i,), (), i, line))
+        elif c is None:
+            raise QasmSyntaxError("one-qubit measure needs a bit target", line)
         else:
             self.gates.append(Gate(GateKind.MEASURE, (q,), (), c, line))
 

@@ -27,6 +27,9 @@ class RouterError(ValueError):
 class TooManyQubitsError(RouterError):
     def __init__(self, needed: int, available: int):
         super().__init__(f"circuit needs {needed} qubits, architecture has {available}")
+        # ``validate``'s line for it, as :class:`InvalidCircuitError` carries.
+        self.diagnostics = [Diagnostic(
+            "TooManyQubits", f"circuit uses {needed} qubits but architecture has {available}")]
 
 
 class InvalidCircuitError(RouterError):
@@ -535,10 +538,16 @@ def initial_mapping(circuit: Circuit, arch: Architecture, policy: str = "identit
     no ``init`` starts from the identity.  The reverse pass checks ``circuit``
     as ``route`` does, then runs the router once on its reversed copy.
     """
-    if policy not in ("identity", "reverse_pass"):
-        raise RouterError(f"unknown initial mapping policy {policy!r}")
     if policy == "reverse_pass":
         _check(circuit, arch)
+    return _start(circuit, arch, policy, config)
+
+
+def _start(circuit: Circuit, arch: Architecture, policy: str,
+           config: RouterConfig | None) -> Mapping:
+    """:func:`initial_mapping` of a circuit that passed :func:`_check`."""
+    if policy not in ("identity", "reverse_pass"):
+        raise RouterError(f"unknown initial mapping policy {policy!r}")
     ident = Mapping.identity(circuit.num_qubits, arch.num_qubits)
     if policy == "identity":
         return ident
@@ -554,15 +563,19 @@ def route(circuit: Circuit, arch: Architecture, init: Mapping | None = None,
     equal inputs give identical output, with ties broken by program order for
     gates and by the lexicographically smallest edge for SWAPs.
     """
-    config = config or RouterConfig()
     _check(circuit, arch)
+    return _route(circuit, arch, init, config)
+
+
+def _route(circuit: Circuit, arch: Architecture, init: Mapping | None,
+           config: RouterConfig | None) -> RoutingResult:
+    """:func:`route` of a circuit that passed :func:`_check`."""
     if init is None:
         init = Mapping.identity(circuit.num_qubits, arch.num_qubits)
     if init.num_logical != circuit.num_qubits or init.num_physical != arch.num_qubits:
         raise RouterError("initial mapping does not match circuit/architecture sizes")
-    schedule = _Router(circuit, arch, init, config).run()
+    schedule = _Router(circuit, arch, init, config or RouterConfig()).run()
     routed = Circuit(arch.num_qubits, [it.gate for it in schedule.items],
                      circuit.register_name, circuit.creg_name,
                      circuit.num_clbits)
     return RoutingResult(schedule, routed)
-

@@ -338,18 +338,23 @@ def statevector_oracle(original: Circuit, schedule: Schedule) -> tuple[bool, flo
 
 
 def verify_equivalence(original: Circuit, schedule: Schedule) -> EquivalenceReport:
-    """Run the dependency check plus the oracle.
+    """Run the dependency check plus the oracle (see :func:`add_oracle`)."""
+    report = dependency_equivalence(original, schedule)
+    add_oracle(report, original, schedule)
+    return report
+
+
+def add_oracle(report: EquivalenceReport, original: Circuit, schedule: Schedule) -> None:
+    """Run the statevector oracle and record its verdict in ``report``.
 
     Where the oracle cannot run it is skipped, with the reason in the details.
     """
-    report = dependency_equivalence(original, schedule)
     try:
         ok, err = statevector_oracle(original, schedule)
     except OracleLimitError as exc:
         report.details.append(f"oracle skipped: {exc}")
-        return report
+        return
     report.oracle_ok = ok
     report.max_amplitude_error = err
     if not ok:
         report.details.append(f"statevector mismatch, max amplitude error {err:.3e}")
-    return report

@@ -10,6 +10,7 @@ from pathlib import Path
 import codar_router
 import codar_router.router as router_module
 import codar_router.verify as verify_module
+from codar_router.pipeline import compile_circuit
 
 EXPECTED = {
     "Architecture", "ArchitectureError", "CouplingGraph", "DEFAULT_DURATIONS",
@@ -76,6 +77,7 @@ def test_settings_are_pinned():
     expected = {
         cr.route: ["circuit", "arch", "init", "config"],
         cr.initial_mapping: ["circuit", "arch", "policy", "config"],
+        compile_circuit: ["circuit", "arch", "policy", "config"],
         cr.verify_equivalence: ["original", "schedule"],
         cr.dependency_equivalence: ["original", "schedule"],
         cr.statevector_oracle: ["original", "schedule"],

@@ -262,6 +262,30 @@ def test_unwritable_output_path_exits_one_without_traceback(command, flag, golde
     assert info.value.code == f"error: cannot write {target}: No such file or directory"
 
 
+LINE4 = dict(SQUARE4, edges=[[0, 1], [1, 2], [2, 3]])
+RING4 = dict(SQUARE4, edges=[[0, 1], [1, 2], [2, 3], [3, 0]])
+
+
+@pytest.mark.parametrize("devices, name", [
+    ([LINE4, RING4], "custom"),  # a config without "name" is named "custom"
+    (["square4", "square4"], "square4"),
+], ids=["two-unnamed-configs", "repeated-preset"])
+def test_bench_refuses_two_devices_of_one_name(devices, name, golden_file, tmp_path, monkeypatch):
+    from codar_router import cli
+
+    specs = []
+    for i, device in enumerate(devices):
+        if isinstance(device, dict):
+            path = tmp_path / f"device{i}.json"
+            path.write_text(json.dumps(device), encoding="utf-8")
+            device = str(path)
+        specs += ["--arch", device]
+    monkeypatch.setattr(cli, "bench_corpus", None)  # refused before any routing
+    with pytest.raises(SystemExit) as info:
+        main(["bench", "--corpus", str(golden_file.parent), *specs])
+    assert info.value.code == f"error: more than one --arch device is named {name}"
+
+
 def test_bench_missing_corpus_exits_one(tmp_path):
     void = tmp_path / "void"
     with pytest.raises(SystemExit) as info:
@@ -340,13 +364,13 @@ def test_bench_parses_each_program_once(corpus_dir, tmp_path, square4, monkeypat
 
 
 def test_route_verification_failure_exits_two(golden_file, monkeypatch, capsys):
-    from codar_router import cli
+    from codar_router import verify
     from codar_router.verify import EquivalenceReport
 
     def always_broken(*args, **kwargs):
         return EquivalenceReport(dependency_ok=False, details=["injected failure"])
 
-    monkeypatch.setattr(cli, "verify_equivalence", always_broken)
+    monkeypatch.setattr(verify, "dependency_equivalence", always_broken)
     code = main(["route", "--arch", "square4", "--input", str(golden_file),
                  "--output", str(golden_file.with_suffix(".out"))])
     assert code == 2

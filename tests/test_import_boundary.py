@@ -49,6 +49,15 @@ print(json.dumps({"big": big, "small_oracle_ok": report.oracle_ok,
     assert out["numpy_after_oracle"] is True
 
 
+def test_importing_the_package_leaves_the_pipeline_unloaded():
+    out = run_fresh("""
+import json, sys
+import codar_router
+print(json.dumps({"pipeline": "codar_router.pipeline" in sys.modules}))
+""")
+    assert out == {"pipeline": False}
+
+
 def test_oracle_refuses_eleven_qubits_before_loading_numpy():
     out = run_fresh("""
 import json, sys

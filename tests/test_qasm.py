@@ -174,7 +174,10 @@ def test_measure_and_barrier_forms():
     ("qreg q[2];\nmeasure q[0] -> c[5];\ncreg c[2];\n", "measure before creg declaration", 3),
     ("qreg q[2];\nmeasure q -> c;\n", "measure before creg declaration", 3),
     ("qreg q[3];\ncreg c[2];\nmeasure q -> c;\n", "creg as large as the qreg", 4),
-], ids=["bit-before-creg", "register-without-creg", "register-into-smaller-creg"])
+    ("qreg q[2];\ncreg c[1];\nmeasure q[1] -> c;\n", "one-qubit measure needs a bit target", 4),
+    ("qreg q[2];\ncreg c[2];\nmeasure q[1] -> c;\n", "one-qubit measure needs a bit target", 4),
+], ids=["bit-before-creg", "register-without-creg", "register-into-smaller-creg",
+        "bit-into-register-past-the-creg", "bit-into-register"])
 def test_measure_past_the_creg_is_a_located_syntax_error(text, message, line):
     # Parsed, these would emit text that does not parse back.
     with pytest.raises(QasmSyntaxError, match=message) as info:
